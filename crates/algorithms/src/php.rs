@@ -13,6 +13,11 @@
 //! distinct levels the uniform-within-bucket approximation keeps a bias
 //! that never vanishes: PHP is **inconsistent** (paper Theorem 6), the
 //! property the benchmark's Finding 9 exposes at large scales.
+//!
+//! Scoring every split of a bucket costs O(len²). Each bucket's scores are
+//! computed once and reused until it is split, and consecutive splits are
+//! scored in lockstep lanes; the scores, and so the releases, are bit for
+//! bit those of the plain per-iteration rescoring.
 
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::{exponential_mechanism, laplace};
@@ -40,11 +45,37 @@ impl Php {
 }
 
 /// A contiguous bucket `[lo, hi)` with its L1-deviation cost.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Bucket {
     lo: usize,
     hi: usize,
     cost: f64,
+    /// Improvement of splitting at each `s ∈ (lo, hi)`, in order of `s`;
+    /// computed the first time the bucket is a candidate, then reused for
+    /// every later iteration it survives unsplit.
+    scores: Option<Vec<f64>>,
+}
+
+impl Bucket {
+    fn new(counts: &[f64], lo: usize, hi: usize) -> Self {
+        Self {
+            lo,
+            hi,
+            cost: l1_deviation(counts, lo, hi),
+            scores: None,
+        }
+    }
+
+    /// Number of split points `s ∈ (lo, hi)`.
+    fn splits(&self) -> usize {
+        self.hi - self.lo - 1
+    }
+
+    fn scores(&mut self, counts: &[f64]) -> &[f64] {
+        let (lo, hi, cost) = (self.lo, self.hi, self.cost);
+        self.scores
+            .get_or_insert_with(|| split_scores(counts, lo, hi, cost))
+    }
 }
 
 impl Mechanism for Php {
@@ -92,42 +123,29 @@ impl Php {
         let eps2 = budget.spend_all_as("buckets");
         let eps_per_iter = eps1 / iterations as f64;
 
-        let mut buckets = vec![Bucket {
-            lo: 0,
-            hi: n,
-            cost: l1_deviation(counts, 0, n),
-        }];
-
+        let mut buckets = vec![Bucket::new(counts, 0, n)];
+        let mut scores: Vec<f64> = Vec::new();
         for _ in 0..iterations {
-            // Candidate splits: (bucket index, split position, improvement).
-            let mut candidates: Vec<(usize, usize)> = Vec::new();
-            let mut scores: Vec<f64> = Vec::new();
-            for (bi, b) in buckets.iter().enumerate() {
-                for s in b.lo + 1..b.hi {
-                    let improvement =
-                        b.cost - l1_deviation(counts, b.lo, s) - l1_deviation(counts, s, b.hi);
-                    candidates.push((bi, s));
-                    scores.push(improvement);
-                }
+            // Candidate splits: every bucket's split scores, in bucket order.
+            scores.clear();
+            for b in buckets.iter_mut() {
+                scores.extend_from_slice(b.scores(counts));
             }
-            if candidates.is_empty() {
+            if scores.is_empty() {
                 break; // every bucket is a single cell
             }
             // Improvement = difference of deviation costs, each with
             // per-record sensitivity 2 → score sensitivity 4.
-            let chosen = exponential_mechanism(&scores, 4.0, eps_per_iter, rng);
-            let (bi, s) = candidates[chosen];
-            let b = buckets[bi].clone();
-            buckets[bi] = Bucket {
-                lo: b.lo,
-                hi: s,
-                cost: l1_deviation(counts, b.lo, s),
-            };
-            buckets.push(Bucket {
-                lo: s,
-                hi: b.hi,
-                cost: l1_deviation(counts, s, b.hi),
-            });
+            let mut chosen = exponential_mechanism(&scores, 4.0, eps_per_iter, rng);
+            let mut bi = 0;
+            while chosen >= buckets[bi].splits() {
+                chosen -= buckets[bi].splits();
+                bi += 1;
+            }
+            let (lo, hi) = (buckets[bi].lo, buckets[bi].hi);
+            let s = lo + 1 + chosen;
+            buckets[bi] = Bucket::new(counts, lo, s);
+            buckets.push(Bucket::new(counts, s, hi));
         }
 
         // Measure bucket totals (partition → sensitivity 1) and expand.
@@ -144,6 +162,71 @@ impl Php {
     }
 }
 
+/// The improvement `cost − l1(lo, s) − l1(s, hi)` of each split
+/// `s ∈ (lo, hi)` of a bucket whose own deviation is `cost`, bit-identical
+/// to calling [`l1_deviation`] per split: every sum still adds its terms in
+/// index order, but `LANES` consecutive splits run in lockstep, so their
+/// independent sums overlap instead of waiting on one another. (A lane
+/// starting from +0.0 where `Iterator::sum` may start from −0.0 can change
+/// only the sign of a zero sum, which `|c − mean|` erases.)
+fn split_scores(counts: &[f64], lo: usize, hi: usize, cost: f64) -> Vec<f64> {
+    const LANES: usize = 16;
+    let mut scores = Vec::with_capacity(hi - lo - 1);
+    // Σ counts[lo..s0), carried forward in index order.
+    let mut left_sum: f64 = counts[lo..lo + 1].iter().sum();
+    let mut s0 = lo + 1;
+    while s0 + LANES <= hi {
+        // Lane g scores the split at s0 + g.
+        let mut left_mean = [0.0; LANES];
+        for (g, mean) in left_mean.iter_mut().enumerate() {
+            *mean = left_sum / (s0 + g - lo) as f64;
+            left_sum += counts[s0 + g];
+        }
+        let mut left = [0.0; LANES];
+        for &c in &counts[lo..s0] {
+            for (dev, mean) in left.iter_mut().zip(&left_mean) {
+                *dev += (c - mean).abs();
+            }
+        }
+        for (g, (dev, mean)) in left.iter_mut().zip(&left_mean).enumerate() {
+            for &c in &counts[s0..s0 + g] {
+                *dev += (c - mean).abs();
+            }
+        }
+
+        let shared = &counts[s0 + LANES..hi];
+        let mut right_sum = [0.0; LANES];
+        for (g, sum) in right_sum.iter_mut().enumerate() {
+            for &c in &counts[s0 + g..s0 + LANES] {
+                *sum += c;
+            }
+        }
+        for &c in shared {
+            for sum in right_sum.iter_mut() {
+                *sum += c;
+            }
+        }
+        let right_mean: [f64; LANES] = std::array::from_fn(|g| right_sum[g] / (hi - s0 - g) as f64);
+        let mut right = [0.0; LANES];
+        for (g, (dev, mean)) in right.iter_mut().zip(&right_mean).enumerate() {
+            for &c in &counts[s0 + g..s0 + LANES] {
+                *dev += (c - mean).abs();
+            }
+        }
+        for &c in shared {
+            for (dev, mean) in right.iter_mut().zip(&right_mean) {
+                *dev += (c - mean).abs();
+            }
+        }
+
+        scores.extend(left.iter().zip(&right).map(|(l, r)| cost - l - r));
+        s0 += LANES;
+    }
+    scores
+        .extend((s0..hi).map(|s| cost - l1_deviation(counts, lo, s) - l1_deviation(counts, s, hi)));
+    scores
+}
+
 /// `Σ |x_i − mean|` over `counts[lo..hi)`.
 fn l1_deviation(counts: &[f64], lo: usize, hi: usize) -> f64 {
     debug_assert!(lo < hi);
@@ -157,7 +240,7 @@ mod tests {
     use super::*;
     use dpbench_core::{Domain, Loss};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn bucket_count_bounded_by_iterations() {
@@ -211,6 +294,32 @@ mod tests {
         let est = Php::new().run_eps(&x, &w, 0.5, &mut rng).unwrap();
         assert_eq!(est.len(), 128);
         assert!(est.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn split_scores_match_per_split_deviations_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(74);
+        let counts: Vec<f64> = (0..300)
+            .map(|i| match i % 3 {
+                0 => rng.gen_range(0.0..1e3),
+                1 => 0.0,
+                _ => rng.gen_range(0.0..1.0),
+            })
+            .collect();
+        for (lo, hi) in [(0, 300), (0, 2), (5, 21), (5, 22), (17, 250), (290, 300)] {
+            let cost = l1_deviation(&counts, lo, hi);
+            let got: Vec<u64> = split_scores(&counts, lo, hi, cost)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = (lo + 1..hi)
+                .map(|s| {
+                    let score = cost - l1_deviation(&counts, lo, s) - l1_deviation(&counts, s, hi);
+                    score.to_bits()
+                })
+                .collect();
+            assert_eq!(got, want, "bucket [{lo}, {hi})");
+        }
     }
 
     #[test]

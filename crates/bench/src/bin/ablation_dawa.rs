@@ -1,8 +1,8 @@
-//! Ablation study for DAWA's design choices (the DESIGN.md ablation
-//! target): how much of DAWA's error comes from (a) the partition stage
-//! budget ρ, (b) the partition itself (vs. no partition = GREEDY_H
-//! directly), and (c) the workload-aware second stage (vs. a uniform
-//! hierarchy)? Compared against HB as the data-independent reference.
+//! Ablation study for DAWA's design choices: how much of DAWA's error
+//! comes from (a) the partition stage budget ρ, (b) the partition itself
+//! (vs. no partition = GREEDY_H directly), and (c) the workload-aware
+//! second stage (vs. a uniform hierarchy)? Compared against HB as the
+//! data-independent reference.
 
 use dpbench_bench::common;
 use dpbench_core::rng::rng_for;

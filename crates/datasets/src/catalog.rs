@@ -7,7 +7,7 @@
 //! the builder RNG is seeded from the dataset name, so every run of the
 //! benchmark sees identical shapes.
 //!
-//! Substitution note (see DESIGN.md §2): the raw sources (Census, Kaggle,
+//! Substitution note: the raw sources (Census, Kaggle,
 //! Maryland payroll, Lending Club, GPS traces, GOWALLA, the International
 //! Stroke Trial) are not redistributable; these calibrated synthetic shapes
 //! exercise the same algorithm code paths because mechanism error depends
