@@ -23,12 +23,19 @@
 //!
 //! Width cap: the exact DP is O(n²k); we cap bucket widths at
 //! `w = 16·⌈n/k⌉` — transitions the V-optimal solution essentially never
-//! takes at `k = n/10` — so [`VOptDp::build`] costs O(n·k·w): 242M
-//! feasible candidate transitions at n = 4096, k = 410, w = 160. The build
-//! is 97% of SF's time, so its inner loop is a branch-free min over each
-//! cell's feasible window, compiled once portably and once for AVX2
-//! (picked at run time). It returns the same table bit for bit as the
-//! plain loop.
+//! takes at `k = n/10` — so [`VOptDp::build`] weighs O(n·k·w) candidate
+//! transitions: 242M feasible ones at n = 4096, k = 410, w = 160. The
+//! build is nearly all of SF's time. It sweeps the table one column at a
+//! time: each of the n·w buckets `[s, i)` gets its SSE (one division)
+//! once, and that cost is folded into all k rows by n·k·w branch-free
+//! adds and mins over a transposed ring of the last w columns. The kernel
+//! is compiled once portably and once for AVX2 (picked at run time).
+//!
+//! The table is bit-identical to the plain row-by-row loop's: every
+//! candidate is still `table[j−1][s] + sse(s, i)` from the same operands,
+//! only the order of the min changes, and costs are never NaN or −0.0, so
+//! any order picks the same bits. Candidates the loop skips as infeasible
+//! are ∞ here and never win a min.
 //!
 //! Speedups that were rejected:
 //! * Monotone-argmin methods (divide-and-conquer, Knuth, SMAWK) are
@@ -40,6 +47,8 @@
 //!   over 8 catalog shapes × 3 scales.
 //! * Exact lower-bound pruning of candidates gave only 1.0–2.5×,
 //!   depending on the data.
+//! * Folding rows in blocks of 16 or 64 instead of 32 was 12–25% slower
+//!   with AVX2 at n = 4096.
 
 use crate::hierarchy::Hierarchy;
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
@@ -290,10 +299,10 @@ fn fill_table(table: &mut [Vec<f64>], prefix: &[f64], prefix_sq: &[f64], width: 
         unsafe { fill_table_avx2(table, prefix, prefix_sq, width) };
         return;
     }
-    fill_rows(table, prefix, prefix_sq, width);
+    sweep_columns(table, prefix, prefix_sq, width);
 }
 
-/// [`fill_rows`] compiled for AVX2.
+/// [`sweep_columns`] compiled for AVX2.
 ///
 /// # Safety
 ///
@@ -301,71 +310,64 @@ fn fill_table(table: &mut [Vec<f64>], prefix: &[f64], prefix_sq: &[f64], width: 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn fill_table_avx2(table: &mut [Vec<f64>], prefix: &[f64], prefix_sq: &[f64], width: usize) {
-    fill_rows(table, prefix, prefix_sq, width);
+    sweep_columns(table, prefix, prefix_sq, width);
 }
 
 /// The DP recurrence `table[j][i] = min_s table[j−1][s] + sse(s, i)` over
-/// `s ∈ [i − width, i)`. Row `j − 1` is finite exactly on
-/// `s ∈ [j − 1, (j − 1)·width]`, so each window is clipped to that range
-/// and every remaining candidate is finite; cells past `j·width` have an
-/// empty window and stay ∞.
+/// `s ∈ [i − width, i)`, swept one column `i` at a time.
+///
+/// Each bucket `[s, i)` costs one [`bucket_sse`], computed once and folded
+/// into every row. The last `width` columns are kept transposed in `ring`
+/// (`ring[s][t] = table[t][s]`, rows padded to a multiple of `BLOCK` with
+/// ∞), so the fold is a contiguous add + min with no division. Rows are
+/// folded `BLOCK` at a time in accumulators that stay in registers across
+/// `s`. Row `t` is finite exactly on `s ∈ [t, t·width]`, so a block of
+/// rows `[t0, t0 + BLOCK)` is fed only by `s ∈ [t0, (t0 + BLOCK − 1)·width]`;
+/// the ∞ cells it still reads leave every min unchanged.
 #[inline(always)]
-fn fill_rows(table: &mut [Vec<f64>], prefix: &[f64], prefix_sq: &[f64], width: usize) {
-    // Cell indices as f64: `i as f64 − s as f64` is exactly `(i − s) as f64`.
-    let cells: Vec<f64> = (0..prefix.len()).map(|s| s as f64).collect();
-    for j in 1..table.len() {
-        let (done, rest) = table.split_at_mut(j);
-        let (prev, row) = (&done[j - 1], &mut rest[0]);
-        let reach = (j - 1).saturating_mul(width);
-        let last = (row.len() - 1).min(j.saturating_mul(width));
-        for i in j..=last {
-            let lo = i.saturating_sub(width).max(j - 1);
-            let hi = i.min(reach + 1);
-            row[i] = window_min(
-                &prev[lo..hi],
-                &prefix[lo..hi],
-                &prefix_sq[lo..hi],
-                &cells[lo..hi],
-                (prefix[i], prefix_sq[i], cells[i]),
+fn sweep_columns(table: &mut [Vec<f64>], prefix: &[f64], prefix_sq: &[f64], width: usize) {
+    const BLOCK: usize = 32;
+    let (rows, n) = (table.len() - 1, prefix.len() - 1);
+    if rows == 0 {
+        return;
+    }
+    let stride = rows.next_multiple_of(BLOCK);
+    let slots = width.clamp(1, n + 1);
+    let mut ring = vec![f64::INFINITY; slots * stride];
+    for (t, row) in table[..rows].iter().enumerate() {
+        ring[t] = row[0];
+    }
+    // `sse[s − first]` is the cost of bucket `[s, i)`.
+    let mut sse = vec![0.0; slots];
+    let mut best = vec![f64::INFINITY; stride];
+    for i in 1..=n {
+        let first = i.saturating_sub(width);
+        for (s, cost) in (first..i).zip(sse.iter_mut()) {
+            *cost = bucket_sse(
+                prefix[i] - prefix[s],
+                prefix_sq[i] - prefix_sq[s],
+                (i - s) as f64,
             );
         }
-    }
-}
-
-/// `min_s prev[s] + sse(s, i)` over one window. The min runs in independent
-/// lanes over fixed-size chunks so LLVM vectorizes it; costs are never
-/// NaN, so the order in which they are compared does not change the result.
-#[inline(always)]
-fn window_min(
-    prev: &[f64],
-    prefix: &[f64],
-    prefix_sq: &[f64],
-    cells: &[f64],
-    end: (f64, f64, f64),
-) -> f64 {
-    const LANES: usize = 8;
-    let (prev_c, prev_t) = prev.as_chunks::<LANES>();
-    let (prefix_c, prefix_t) = prefix.as_chunks::<LANES>();
-    let (sq_c, sq_t) = prefix_sq.as_chunks::<LANES>();
-    let (cells_c, cells_t) = cells.as_chunks::<LANES>();
-    let mut acc = [f64::INFINITY; LANES];
-    for (((p, a), q), c) in prev_c.iter().zip(prefix_c).zip(sq_c).zip(cells_c) {
-        for l in 0..LANES {
-            acc[l] = min(acc[l], cost(p[l], a[l], q[l], c[l], end));
+        for (t0, out) in (0..stride).step_by(BLOCK).zip(best.chunks_exact_mut(BLOCK)) {
+            let reach = (t0 + BLOCK - 1).saturating_mul(width);
+            let mut acc = [f64::INFINITY; BLOCK];
+            for s in first.max(t0)..i.min(reach.saturating_add(1)) {
+                let cost = sse[s - first];
+                let prev = &ring[(s % slots) * stride + t0..][..BLOCK];
+                for (a, &p) in acc.iter_mut().zip(prev) {
+                    *a = min(*a, p + cost);
+                }
+            }
+            out.copy_from_slice(&acc);
         }
+        for (row, &b) in table[1..].iter_mut().zip(&best) {
+            row[i] = b;
+        }
+        let column = &mut ring[(i % slots) * stride..][..rows];
+        column[0] = table[0][i];
+        column[1..].copy_from_slice(&best[..rows - 1]);
     }
-    let tail = prev_t.iter().zip(prefix_t).zip(sq_t).zip(cells_t);
-    for (((&p, &a), &q), &c) in tail {
-        acc[0] = min(acc[0], cost(p, a, q, c, end));
-    }
-    acc.into_iter().fold(f64::INFINITY, min)
-}
-
-/// `prev + sse(s, i)` from the prefix values at `s` and at `i` (`end`).
-#[inline(always)]
-fn cost(prev: f64, prefix: f64, prefix_sq: f64, cell: f64, end: (f64, f64, f64)) -> f64 {
-    let (sum_i, sq_i, cell_i) = end;
-    prev + bucket_sse(sum_i - prefix, sq_i - prefix_sq, cell_i - cell)
 }
 
 /// A bucket's squared error around its mean from its sum, sum of squares
@@ -467,7 +469,7 @@ mod tests {
                 let mut portable = vec![vec![f64::INFINITY; n + 1]; k + 1];
                 portable[0][0] = 0.0;
                 let mut avx2 = portable.clone();
-                fill_rows(&mut portable, &prefix, &prefix_sq, width);
+                sweep_columns(&mut portable, &prefix, &prefix_sq, width);
                 // SAFETY: AVX2 support was checked at the top of the test.
                 unsafe { fill_table_avx2(&mut avx2, &prefix, &prefix_sq, width) };
                 let bits = |t: &[Vec<f64>]| -> Vec<u64> {

@@ -55,15 +55,10 @@ fn json_f(v: f64) -> String {
     }
 }
 
-/// The throughput grid: full 1-D suite (minus the quadratic SF/PHP at
-/// full scale) on MEDCOST. Built per sink benchmark so every measurement
-/// starts from cold caches.
+/// The throughput grid: the full 1-D suite on MEDCOST. Built per sink
+/// benchmark so every measurement starts from cold caches.
 fn runner_cfg(tiny: bool, grid_n: usize) -> ExperimentConfig {
-    let grid_algorithms: Vec<String> = NAMES_1D
-        .iter()
-        .filter(|&&m| tiny || (m != "SF" && m != "PHP"))
-        .map(|s| s.to_string())
-        .collect();
+    let grid_algorithms: Vec<String> = NAMES_1D.iter().map(|s| s.to_string()).collect();
     ExperimentConfig {
         datasets: vec![catalog::by_name("MEDCOST").unwrap()],
         scales: vec![100_000],
@@ -193,9 +188,8 @@ fn main() {
     }
 
     // ---- 4. Whole-grid throughput through the streaming runner. --------
-    // Paper-scale domain (n = 4096 full size); SF and PHP are excluded at
-    // full scale — their own quadratic inner loops (ROADMAP open items)
-    // would dominate the grid and mask the hot-path changes under test.
+    // Paper-scale domain (n = 4096 full size), every 1-D mechanism. SF's
+    // V-optimal DP and MWEM* dominate the full-scale grid's time.
     let grid_n = n_partition;
     let cfg = runner_cfg(tiny, grid_n);
     let total_runs = cfg.total_runs();

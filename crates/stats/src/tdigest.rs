@@ -1,6 +1,6 @@
 //! Mergeable streaming quantile sketch (t-digest).
 //!
-//! The P² sketches ([`crate::streaming::P2Quantile`]) are O(1) but do
+//! P² quantile sketches (Jain & Chlamtac, CACM 1985) are O(1) but do
 //! **not** merge: two P² states cannot be combined into the state a
 //! single pass over the union would have produced, so a sharded grid had
 //! to round-trip raw JSONL samples to aggregate across shards. The

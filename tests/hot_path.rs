@@ -280,6 +280,40 @@ fn vopt_dp_equals_reference_loop_on_seeded_vectors() {
     assert!(cases >= 200, "suite must cover ≥ 200 cases, ran {cases}");
 }
 
+/// Edge shapes of the column sweep's ring of past columns: every bucket a
+/// singleton (`k = n`), too few buckets to cover the domain (`k·width < n`,
+/// so the last row stays ∞) and one bucket spanning the whole domain.
+#[test]
+fn vopt_dp_equals_reference_loop_on_ring_edges() {
+    let mut rng = StdRng::seed_from_u64(0x5F13);
+    let mut counts = |n: usize| -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 3 {
+                0 => 0.0,
+                1 => rng.gen_range(0.0..1e3),
+                _ => (i % 7) as f64,
+            })
+            .collect()
+    };
+    for n in [1, 2, 3, 17, 64] {
+        let x = counts(n);
+        for width in [1, 2, n, n + 2] {
+            assert_vopt_matches_reference(&x, n, width, &format!("k = n = {n}"));
+        }
+    }
+    for (n, k, width) in [(2, 1, 1), (17, 3, 5), (64, 7, 9), (64, 31, 2), (100, 40, 2)] {
+        assert!(k * width < n);
+        let x = counts(n);
+        let table = VOptDp::build(&x, k, width).table;
+        assert_eq!(table[k][n], f64::INFINITY, "n={n} k={k} w={width}");
+        assert_vopt_matches_reference(&x, k, width, &format!("k·w < n = {n}"));
+    }
+    for n in [1, 2, 3, 17, 64, 200] {
+        let x = counts(n);
+        assert_vopt_matches_reference(&x, 1, n, &format!("k = 1, w = n = {n}"));
+    }
+}
+
 /// Paper-scale equivalence: catalog shapes at n = 4096 with SF's own k and
 /// width cap (242M candidates per build). Too slow for a debug
 /// build; run with `cargo test --release --test hot_path -- --ignored`.
