@@ -20,6 +20,42 @@
 //! * MWEM is **inconsistent** (Theorem 8): with fixed `T`, at most `T`
 //!   measured queries constrain the estimate, leaving bias that never
 //!   vanishes as ε → ∞.
+//!
+//! # Cost model
+//!
+//! Round `t` sweeps the `t` measurements `mw_sweeps` (3) times, so a run
+//! makes `3·T(T+1)/2` multiplicative-weights updates (15 150 at MWEM★'s
+//! `T = 100`). The estimate is kept as `est = c·w`, a scalar times
+//! weights whose running total is tracked, so an update costs `O(|q|)`:
+//! one range sum and one scaling of the query's cells, each row slice in
+//! eight independent add chains (`lane_sum`). Renormalising to the
+//! total only changes `c`. The weights are folded (`w ← c·w`) at the end
+//! of every sweep and whenever `c` leaves `[2⁻⁶⁴, 2⁶⁴]`, at `O(n)` each.
+//! A run therefore costs `O(T²·|q|)` lane operations plus an `O(n)` fold
+//! per sweep, and per round one prefix-table rebuild and `|W|` Gumbel
+//! draws for the selection.
+//!
+//! # Numeric contract
+//!
+//! Releases are deterministic per seed: the RNG draws (scale estimate,
+//! Gumbel selection, Laplace measurement) are the same, in the same
+//! order, as in the earlier serial loop, and the float operations run in
+//! one fixed order in portable code, so every x86_64 host gives the same
+//! bits. They are not bit-identical to that serial loop, which summed
+//! each query and renormalised the whole domain in index order: the
+//! summation order differs, and estimates differ by about 1e-13·total
+//! (L∞). The running total is recomputed exactly whenever an update
+//! removes more than half of it, where its incremental form would lose
+//! relative accuracy. A bit-exact rewrite was rejected because its floor
+//! is the serial add chain itself: reproducing those bits means `|q| + n`
+//! dependent adds per update, and a bare chain of that length already
+//! takes more than half of the serial loop's time (at n = 4096,
+//! `T = 100`), so it could win at most about 2×.
+//!
+//! The arithmetic does not touch privacy. The multiplicative weights are
+//! post-processing of noisy answers, and the selection score
+//! `|y(q) − est(q)|` has sensitivity 1 in the data for any `est`, so the
+//! mechanism stays ε-DP whatever rounding the estimate carries.
 
 use dpbench_core::mechanism::{fingerprint_words, DimSupport, FnPlan, Plan, PlanDiagnostics};
 use dpbench_core::primitives::{exponential_mechanism, laplace};
@@ -28,6 +64,7 @@ use dpbench_core::{
     BudgetLedger, DataVector, Domain, MechError, MechInfo, Mechanism, RangeQuery, Workload,
 };
 use rand::RngCore;
+use std::ops::Range;
 
 /// How MWEM learns the dataset scale.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,6 +203,12 @@ impl Mechanism for Mwem {
                 "MWEM needs a non-empty workload".into(),
             ));
         }
+        if workload.domain() != *domain {
+            return Err(MechError::InvalidConfig(format!(
+                "MWEM workload domain {} does not match data domain {domain}",
+                workload.domain()
+            )));
+        }
         let mech = self.clone();
         let w = workload.clone();
         Ok(FnPlan::boxed(
@@ -206,7 +249,7 @@ impl Mwem {
         budget: &mut BudgetLedger,
         rng: &mut dyn RngCore,
     ) -> Result<Vec<f64>, MechError> {
-        let n = x.n_cells();
+        let domain = x.domain();
         // Scale: side info or noisy estimate.
         let total = match self.scale_source {
             ScaleSource::SideInfo => x.scale(),
@@ -223,66 +266,154 @@ impl Mwem {
         let queries = workload.queries();
 
         // Synthetic estimate: uniform at the (noisy) scale.
-        let mut est = vec![total / n as f64; n];
+        let mut weights = MwWeights::uniform(total, domain);
+        let mut table = PrefixTable::build_cells(&weights.w, domain);
+        let mut scores = Vec::with_capacity(queries.len());
         let mut history: Vec<(RangeQuery, f64)> = Vec::with_capacity(t_rounds);
 
         for _ in 0..t_rounds {
             // (a) Select the worst query via the exponential mechanism.
-            let est_answers = answers(&est, x, queries);
-            let scores: Vec<f64> = y_true
-                .iter()
-                .zip(&est_answers)
-                .map(|(t, e)| (t - e).abs())
-                .collect();
+            weights.fold();
+            table.rebuild_cells(&weights.w, domain);
+            scores.clear();
+            scores.extend(
+                y_true
+                    .iter()
+                    .zip(queries)
+                    .map(|(t, q)| (t - table.eval(q)).abs()),
+            );
             let chosen = exponential_mechanism(&scores, 1.0, eps_round / 2.0, rng);
             // (b) Measure it with Laplace noise.
             let measured = y_true[chosen] + laplace(2.0 / eps_round, rng);
             history.push((queries[chosen], measured));
             // (c) Multiplicative-weights sweeps over the history.
             for _ in 0..self.mw_sweeps {
-                for &(q, m) in &history {
-                    mw_update(&mut est, x, &q, m, total);
-                }
+                weights.sweep(&history);
             }
         }
-        Ok(est)
+        Ok(weights.into_estimate())
     }
 }
 
-/// Evaluate all workload queries against the current estimate.
-fn answers(est: &[f64], x: &DataVector, queries: &[RangeQuery]) -> Vec<f64> {
-    let v = DataVector::new(est.to_vec(), x.domain());
-    let table = PrefixTable::build(&v);
-    queries.iter().map(|q| table.eval(q)).collect()
+/// `c` is folded into the weights once it leaves `[C_MIN, C_MAX]`, so
+/// neither factor of `est = c·w` drifts toward overflow or underflow.
+const C_MAX: f64 = 18_446_744_073_709_551_616.0; // 2⁶⁴
+const C_MIN: f64 = 1.0 / C_MAX;
+
+/// The multiplicative-weights estimate, kept as `est = c·w`: a scalar `c`
+/// times weights `w` whose total `wsum` is tracked incrementally, so an
+/// update touches only the cells of its query instead of renormalising
+/// the whole domain.
+struct MwWeights {
+    w: Vec<f64>,
+    c: f64,
+    wsum: f64,
+    total: f64,
+    domain: Domain,
 }
 
-/// One multiplicative-weights update for measurement `(q, m)`.
-fn mw_update(est: &mut [f64], x: &DataVector, q: &RangeQuery, m: f64, total: f64) {
-    let domain = x.domain();
-    // Current answer of the estimate on q.
-    let mut cur = 0.0;
-    for r in q.lo.0..=q.hi.0 {
-        for c in q.lo.1..=q.hi.1 {
-            cur += est[domain.index((r, c))];
+impl MwWeights {
+    /// Every cell at `total / n`.
+    fn uniform(total: f64, domain: Domain) -> Self {
+        let n = domain.n_cells();
+        let w = vec![total / n as f64; n];
+        let wsum = lane_sum(&w);
+        Self {
+            w,
+            c: 1.0,
+            wsum,
+            total,
+            domain,
         }
     }
-    // exp(q_i · (m − cur) / (2·total)) applied to cells inside q; clamp the
-    // exponent to keep the update numerically safe under huge noise.
-    let exponent = ((m - cur) / (2.0 * total)).clamp(-20.0, 20.0);
-    let factor = exponent.exp();
-    for r in q.lo.0..=q.hi.0 {
-        for c in q.lo.1..=q.hi.1 {
-            est[domain.index((r, c))] *= factor;
+
+    /// One multiplicative-weights update for measurement `(q, m)`:
+    /// scale the cells inside `q` by `exp((m − est(q)) / (2·total))`,
+    /// then renormalise the estimate to `total` through `c`.
+    fn update(&mut self, q: &RangeQuery, m: f64) {
+        let sq: f64 = row_slices(self.domain, q)
+            .map(|r| lane_sum(&self.w[r]))
+            .sum();
+        let cur = self.c * sq;
+        // Clamp the exponent to keep the update numerically safe under
+        // huge noise.
+        let factor = ((m - cur) / (2.0 * self.total)).clamp(-20.0, 20.0).exp();
+        for r in row_slices(self.domain, q) {
+            for v in &mut self.w[r] {
+                *v *= factor;
+            }
+        }
+        // The running total loses its relative accuracy when most of it
+        // cancels, so it is recomputed exactly then.
+        let delta = (factor - 1.0) * sq;
+        let wsum = self.wsum + delta;
+        self.wsum = if delta < -0.5 * self.wsum || !wsum.is_finite() {
+            lane_sum(&self.w)
+        } else {
+            wsum
+        };
+        if self.wsum > 0.0 {
+            self.c = self.total / self.wsum;
+        }
+        if !(C_MIN..=C_MAX).contains(&self.c) {
+            self.fold();
         }
     }
-    // Renormalize to the known total.
-    let sum: f64 = est.iter().sum();
-    if sum > 0.0 {
-        let scale = total / sum;
-        for e in est.iter_mut() {
-            *e *= scale;
+
+    /// One pass of updates over the measurement history.
+    fn sweep(&mut self, history: &[(RangeQuery, f64)]) {
+        for (q, m) in history {
+            self.update(q, *m);
+        }
+        self.fold();
+    }
+
+    /// Multiply `c` into the weights (so `w` is the estimate again) and
+    /// recompute their total exactly.
+    fn fold(&mut self) {
+        if self.c != 1.0 {
+            for v in &mut self.w {
+                *v *= self.c;
+            }
+            self.c = 1.0;
+            self.wsum = lane_sum(&self.w);
         }
     }
+
+    fn into_estimate(mut self) -> Vec<f64> {
+        self.fold();
+        self.w
+    }
+}
+
+/// The index ranges of the cells `q` covers, in row-major order: one slice
+/// in 1-D, one per row of the rectangle in 2-D.
+fn row_slices(domain: Domain, q: &RangeQuery) -> impl Iterator<Item = Range<usize>> {
+    let (rows, lo, hi, stride) = match domain {
+        Domain::D1(_) => (0..=0, q.lo.0, q.hi.0, 0),
+        Domain::D2(_, cols) => (q.lo.0..=q.hi.0, q.lo.1, q.hi.1, cols),
+    };
+    rows.map(move |r| r * stride + lo..r * stride + hi + 1)
+}
+
+/// Sum of `v` in one fixed order: eight interleaved lane accumulators
+/// (independent add chains the compiler can keep in vector registers),
+/// combined pairwise, then the tail of fewer than eight cells in index
+/// order.
+fn lane_sum(v: &[f64]) -> f64 {
+    let mut acc = [0.0; 8];
+    let chunks = v.chunks_exact(8);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (a, &x) in acc.iter_mut().zip(chunk) {
+            *a += x;
+        }
+    }
+    let mut sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]));
+    for &x in tail {
+        sum += x;
+    }
+    sum
 }
 
 #[cfg(test)]
@@ -290,7 +421,7 @@ mod tests {
     use super::*;
     use dpbench_core::{Domain, Loss};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn spiky(n: usize, scale: f64) -> DataVector {
         let mut counts = vec![0.0; n];
@@ -382,6 +513,146 @@ mod tests {
             Mwem::original().run_eps(&x, &w, 1.0, &mut rng),
             Err(MechError::InvalidConfig(_))
         ));
+    }
+
+    #[test]
+    fn rejects_workload_over_another_domain() {
+        let x = spiky(64, 1000.0);
+        let w = Workload::prefix_1d(32);
+        for mech in [Mwem::original(), Mwem::star()] {
+            let mut rng = StdRng::seed_from_u64(56);
+            assert!(
+                matches!(mech.plan(&x.domain(), &w), Err(MechError::InvalidConfig(_))),
+                "{} planned a 32-cell workload over 64 cells",
+                mech.name
+            );
+            assert!(matches!(
+                mech.run_eps(&x, &w, 1.0, &mut rng),
+                Err(MechError::InvalidConfig(_))
+            ));
+        }
+    }
+
+    /// The serial multiplicative-weights update the scalar-folded
+    /// [`MwWeights`] replaced: sum `q`, scale `q`, then renormalise the
+    /// whole domain to `total`.
+    fn serial_update(est: &mut [f64], domain: Domain, q: &RangeQuery, m: f64, total: f64) {
+        let mut cur = 0.0;
+        for r in q.lo.0..=q.hi.0 {
+            for c in q.lo.1..=q.hi.1 {
+                cur += est[domain.index((r, c))];
+            }
+        }
+        let factor = ((m - cur) / (2.0 * total)).clamp(-20.0, 20.0).exp();
+        for r in q.lo.0..=q.hi.0 {
+            for c in q.lo.1..=q.hi.1 {
+                est[domain.index((r, c))] *= factor;
+            }
+        }
+        let sum: f64 = est.iter().sum();
+        if sum > 0.0 {
+            let scale = total / sum;
+            for e in est.iter_mut() {
+                *e *= scale;
+            }
+        }
+    }
+
+    /// Run `sweeps` passes over a fixed `history` both ways and require
+    /// every cell to agree within 1e-12·total.
+    fn assert_matches_serial(
+        domain: Domain,
+        total: f64,
+        history: &[(RangeQuery, f64)],
+        sweeps: usize,
+        what: &str,
+    ) {
+        let n = domain.n_cells();
+        let mut weights = MwWeights::uniform(total, domain);
+        let mut est = vec![total / n as f64; n];
+        for _ in 0..sweeps {
+            weights.sweep(history);
+            for (q, m) in history {
+                serial_update(&mut est, domain, q, *m, total);
+            }
+        }
+        let got = weights.into_estimate();
+        let bound = 1e-12 * total.max(1.0);
+        for (i, (a, b)) in got.iter().zip(&est).enumerate() {
+            assert!(
+                (a - b).abs() <= bound,
+                "{what}: cell {i}: {a} vs serial {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn whole_domain_cuts_fold_a_large_scalar() {
+        // Each e⁻²⁰ update over every cell grows c by e²⁰, past 2⁶⁴ within
+        // three updates; unfolded, the weights underflow and c overflows.
+        let whole = RangeQuery::d1(0, 63);
+        let history = vec![(whole, -1e9); 40];
+        assert_matches_serial(Domain::D1(64), 1000.0, &history, 3, "1-D whole domain");
+        let whole_2d = RangeQuery::d2(0, 0, 7, 7);
+        let history = vec![(whole_2d, -1e9); 40];
+        assert_matches_serial(Domain::D2(8, 8), 1e6, &history, 2, "2-D whole domain");
+    }
+
+    #[test]
+    fn single_cell_boosts_fold_a_small_scalar() {
+        // Each e²⁰ update on one cell shrinks c by about e²⁰, below 2⁻⁶⁴
+        // within three updates; unfolded, that cell's weight overflows.
+        let history = vec![(RangeQuery::d1(5, 5), 1e9); 40];
+        assert_matches_serial(Domain::D1(64), 1000.0, &history, 3, "1-D single cell");
+        let history = vec![(RangeQuery::d2(2, 3, 2, 4), 1e12); 40];
+        assert_matches_serial(Domain::D2(8, 8), 1e6, &history, 2, "2-D two cells");
+    }
+
+    #[test]
+    fn near_total_cuts_recompute_the_running_total() {
+        // A cut over all but one nearly empty cell removes almost all of
+        // the mass; the incremental total would keep only ~1e-8 relative
+        // accuracy there.
+        let mut history = vec![(RangeQuery::d1(63, 63), -1e9); 2];
+        history.extend([
+            (RangeQuery::d1(0, 62), -1e9),
+            (RangeQuery::d1(0, 40), 500.0),
+        ]);
+        history.extend([
+            (RangeQuery::d1(0, 62), -1e9),
+            (RangeQuery::d1(10, 63), 900.0),
+        ]);
+        assert_matches_serial(Domain::D1(64), 1000.0, &history, 3, "near-total cut");
+    }
+
+    #[test]
+    fn zero_mass_ranges_stay_empty() {
+        // 40 e⁻²⁰ cuts drive cells 0..=31 below the smallest subnormal;
+        // boosting or measuring them afterwards must leave them at zero.
+        let mut history = vec![(RangeQuery::d1(0, 31), -1e9); 40];
+        history.push((RangeQuery::d1(0, 31), 1e9));
+        history.push((RangeQuery::d1(16, 40), 300.0));
+        history.push((RangeQuery::d1(0, 63), 1000.0));
+        assert_matches_serial(Domain::D1(64), 1000.0, &history, 3, "zero-mass range");
+        // Zero total (side-information scale of an empty dataset): every
+        // cell stays zero.
+        let history = vec![(RangeQuery::d1(0, 10), 3.5), (RangeQuery::d1(0, 63), -2.0)];
+        assert_matches_serial(Domain::D1(64), 0.0, &history, 3, "zero total");
+    }
+
+    #[test]
+    fn realistic_history_matches_serial() {
+        let x = spiky(64, 10_000.0);
+        let w = Workload::prefix_1d(64);
+        let y = w.evaluate(&x);
+        let mut rng = StdRng::seed_from_u64(57);
+        let history: Vec<(RangeQuery, f64)> = (0..30)
+            .map(|_| {
+                let i = rng.gen_range(0..64_usize);
+                (w.queries()[i], y[i] + laplace(200.0, &mut rng))
+            })
+            .collect();
+        assert_matches_serial(Domain::D1(64), 10_000.0, &history, 3, "prefix history");
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Hot-path integration tests: the O(n log² n) DAWA partition must return
 //! exactly the partition of the retained O(n²) DP, the vectorized SF
 //! V-optimal DP and the score-caching PHP must match their plain loops bit
-//! for bit, and executions drawing scratch from a reused [`Workspace`]
+//! for bit, MWEM's lane-parallel update must stay within 1e-9·total of its
+//! serial loop, and executions drawing scratch from a reused [`Workspace`]
 //! must be bit-identical to executions with fresh scratch.
 
 use dpbench_algorithms::dawa::{l1_partition, l1_partition_naive};
+use dpbench_algorithms::mwem::{default_star_schedule, Mwem};
 use dpbench_algorithms::php::Php;
 use dpbench_algorithms::registry::mechanism_by_name;
 use dpbench_algorithms::sf::{StructureFirst, VOptDp};
 use dpbench_core::mechanism::execute_eps_with;
 use dpbench_core::primitives::{exponential_mechanism, laplace};
 use dpbench_core::rng::rng_for;
-use dpbench_core::{DataVector, Domain, Mechanism, Workload, Workspace};
+use dpbench_core::{BudgetLedger, DataVector, Domain, Mechanism, RangeQuery, Workload, Workspace};
 use dpbench_datasets::{catalog, DataGenerator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -218,15 +220,14 @@ fn sf_shape(n: usize) -> (usize, usize) {
 /// A catalog dataset's shape sampled at `scale` over `n` cells (`n` must
 /// divide the 4096-cell base domain).
 fn catalog_counts(name: &str, n: usize, scale: u64, seed: u64) -> Vec<f64> {
+    catalog_vector(name, Domain::D1(n), scale, seed).into_counts()
+}
+
+/// A catalog dataset's shape sampled at `scale` over `domain` (which must
+/// coarsen the dataset's base domain).
+fn catalog_vector(name: &str, domain: Domain, scale: u64, seed: u64) -> DataVector {
     let dataset = catalog::by_name(name).expect("catalog dataset");
-    DataGenerator::new()
-        .generate(
-            &dataset,
-            Domain::D1(n),
-            scale,
-            &mut StdRng::seed_from_u64(seed),
-        )
-        .into_counts()
+    DataGenerator::new().generate(&dataset, domain, scale, &mut StdRng::seed_from_u64(seed))
 }
 
 /// Property-style equivalence suite for the vectorized V-optimal DP: ≥ 200
@@ -418,6 +419,169 @@ fn php_equals_uncached_reference() {
                 let bits = |v: &[f64]| v.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{what} ε={eps} seed={seed}");
             }
+        }
+    }
+}
+
+/// MWEM's select–measure–update loop as it ran before its update went
+/// lane-parallel: every update sums its query serially and renormalises
+/// the whole domain. `star` selects MWEM*'s scale estimate and tuned
+/// schedule; otherwise it is the original MWEM (T = 10, true scale).
+/// Returns the estimate and the total it was normalised to.
+fn mwem_reference(
+    x: &DataVector,
+    workload: &Workload,
+    eps: f64,
+    star: bool,
+    rng: &mut StdRng,
+) -> (Vec<f64>, f64) {
+    let domain = x.domain();
+    let mut budget = BudgetLedger::new(eps);
+    let total = if star {
+        let eps_scale = budget.spend_fraction_as("scale-estimate", 0.05).unwrap();
+        (x.scale() + laplace(1.0 / eps_scale, rng)).max(1.0)
+    } else {
+        x.scale()
+    };
+    let eps = budget.spend_all_as("rounds");
+    let t_rounds = if star {
+        let schedule = default_star_schedule();
+        let signal = eps * total;
+        schedule
+            .iter()
+            .find(|(bound, _)| signal <= *bound)
+            .or(schedule.last())
+            .unwrap()
+            .1
+    } else {
+        10
+    };
+    let eps_round = eps / t_rounds as f64;
+    let y_true = workload.evaluate(x);
+    let queries = workload.queries();
+    let mut est = vec![total / x.n_cells() as f64; x.n_cells()];
+    let mut history: Vec<(RangeQuery, f64)> = Vec::new();
+    for _ in 0..t_rounds {
+        let answers = workload.evaluate_cells(&est);
+        let scores: Vec<f64> = y_true
+            .iter()
+            .zip(&answers)
+            .map(|(t, e)| (t - e).abs())
+            .collect();
+        let chosen = exponential_mechanism(&scores, 1.0, eps_round / 2.0, rng);
+        let measured = y_true[chosen] + laplace(2.0 / eps_round, rng);
+        history.push((queries[chosen], measured));
+        for _ in 0..3 {
+            for &(q, m) in &history {
+                let mut cur = 0.0;
+                for r in q.lo.0..=q.hi.0 {
+                    for c in q.lo.1..=q.hi.1 {
+                        cur += est[domain.index((r, c))];
+                    }
+                }
+                let factor = ((m - cur) / (2.0 * total)).clamp(-20.0, 20.0).exp();
+                for r in q.lo.0..=q.hi.0 {
+                    for c in q.lo.1..=q.hi.1 {
+                        est[domain.index((r, c))] *= factor;
+                    }
+                }
+                let sum: f64 = est.iter().sum();
+                if sum > 0.0 {
+                    let scale = total / sum;
+                    for e in est.iter_mut() {
+                        *e *= scale;
+                    }
+                }
+            }
+        }
+    }
+    (est, total)
+}
+
+/// A seeded MWEM (or MWEM*) release stays within 1e-9·total of the serial
+/// reference in every cell, and sums to the same total within 1e-9
+/// relative. A different selected query would move cells by far more.
+fn assert_mwem_matches_reference(x: &DataVector, workload: &Workload, star: bool, seed: u64) {
+    let eps = 0.1;
+    let mech = if star { Mwem::star() } else { Mwem::original() };
+    let got = mech
+        .run_eps(x, workload, eps, &mut StdRng::seed_from_u64(seed))
+        .unwrap();
+    let (want, total) = mwem_reference(x, workload, eps, star, &mut StdRng::seed_from_u64(seed));
+    let what = format!(
+        "{} on {} cells, scale {}, seed {seed}",
+        mech.info().name,
+        x.domain(),
+        x.scale()
+    );
+    let linf = got
+        .iter()
+        .zip(&want)
+        .map(|(a, b)| (a - b).abs())
+        .fold(0.0, f64::max);
+    assert!(linf <= 1e-9 * total, "{what}: L∞ {linf} vs total {total}");
+    let sum: f64 = got.iter().sum();
+    assert!(
+        (sum - total).abs() <= 1e-9 * total,
+        "{what}: Σ {sum} vs total {total}"
+    );
+}
+
+/// MWEM and MWEM* at n ≤ 512 on Prefix and random-range workloads and on
+/// a 32×32 grid: three scales span MWEM*'s schedule from T = 5 to T = 100.
+#[test]
+fn mwem_matches_serial_reference() {
+    for (name, n, scales) in [
+        ("ADULT", 64, &[1_000, 100_000, 10_000_000][..]),
+        ("PATENT", 256, &[1_000, 100_000][..]),
+        ("PATENT", 512, &[10_000_000][..]),
+    ] {
+        for &scale in scales {
+            let x = catalog_vector(name, Domain::D1(n), scale, scale);
+            let ranges =
+                Workload::random_ranges(Domain::D1(n), 200, &mut StdRng::seed_from_u64(n as u64));
+            for workload in [Workload::prefix_1d(n), ranges] {
+                for star in [false, true] {
+                    assert_mwem_matches_reference(&x, &workload, star, 11);
+                }
+            }
+        }
+    }
+    let domain = Domain::D2(32, 32);
+    let workload = Workload::random_ranges(domain, 300, &mut StdRng::seed_from_u64(32));
+    for (name, scale) in [("BJ-CABS-E", 10_000), ("GOWALLA", 1_000_000)] {
+        let x = catalog_vector(name, domain, scale, 5);
+        for star in [false, true] {
+            for seed in 0..2 {
+                assert_mwem_matches_reference(&x, &workload, star, seed);
+            }
+        }
+    }
+}
+
+/// Paper-scale MWEM equivalence: MWEM* on `grid-1d`'s cells (ADULT and
+/// PATENT at n = 4096, scales 10³, 10⁵, 10⁷, five seeds each) and MWEM on
+/// `grid-2d`'s (BJ-CABS-E and GOWALLA at 256×256, RandomRanges(2000),
+/// scales 10⁴, 10⁶, 10⁸). Run with `cargo test --release --test hot_path
+/// -- --ignored`.
+#[test]
+#[ignore]
+fn mwem_matches_serial_reference_at_paper_scale() {
+    let prefix = Workload::prefix_1d(4096);
+    for name in ["ADULT", "PATENT"] {
+        for scale in [1_000, 100_000, 10_000_000] {
+            let x = catalog_vector(name, Domain::D1(4096), scale, 1);
+            for seed in 0..5 {
+                assert_mwem_matches_reference(&x, &prefix, true, seed);
+            }
+        }
+    }
+    let domain = Domain::D2(256, 256);
+    let ranges = Workload::random_ranges(domain, 2000, &mut StdRng::seed_from_u64(256));
+    for name in ["BJ-CABS-E", "GOWALLA"] {
+        for scale in [10_000, 1_000_000, 100_000_000] {
+            let x = catalog_vector(name, domain, scale, 2);
+            assert_mwem_matches_reference(&x, &ranges, false, 3);
         }
     }
 }
