@@ -38,6 +38,7 @@
 //!   explicitly (asserted within 10%: per-request selection must be
 //!   effectively free) and (b) mean SLO error of `auto` vs fixed DAWA.
 
+use dpbench_core::json::{self, Value};
 use dpbench_core::{Domain, Loss};
 use dpbench_datasets::catalog;
 use dpbench_harness::config::WorkloadSpec;
@@ -140,17 +141,13 @@ fn bench(args: &[String]) {
     handle.shutdown().unwrap();
 }
 
-/// Numeric field extractor for the flat keys of a release/status response.
-fn json_num(resp: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let i = resp.find(&pat).unwrap_or_else(|| panic!("{key} in {resp}")) + pat.len();
-    let rest = &resp[i..];
-    let end = rest
-        .find([',', '}'])
-        .unwrap_or_else(|| panic!("unterminated {key}"));
-    rest[..end]
-        .parse()
-        .unwrap_or_else(|_| panic!("{key} not numeric: {}", &rest[..end]))
+/// The number at `path` (nested object keys) in a release/status body.
+fn num_at(body: &str, path: &[&str]) -> f64 {
+    let v = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    path.iter()
+        .try_fold(&v, |v, key| v.get(key))
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("no number at {path:?} in {body}"))
 }
 
 fn route(args: &[String]) {
@@ -261,7 +258,7 @@ fn route(args: &[String]) {
         for _ in 0..trials {
             let (status, resp) = http::request(&addr, "POST", "/v1/release", Some(&body)).unwrap();
             assert_eq!(status, 200, "{resp}");
-            total += json_num(&resp, "scaled_l2");
+            total += num_at(&resp, &["slo", "scaled_l2"]);
         }
         total / trials as f64
     };
@@ -275,8 +272,8 @@ fn route(args: &[String]) {
         status_body.contains("\"profile_loaded\":true"),
         "{status_body}"
     );
-    let auto_requests = json_num(&status_body, "auto_requests") as u64;
-    let exact = json_num(&status_body, "exact") as u64;
+    let auto_requests = num_at(&status_body, &["selector", "auto_requests"]) as u64;
+    let exact = num_at(&status_body, &["selector", "exact"]) as u64;
     assert!(
         exact > 0,
         "auto never routed through the profile: {status_body}"

@@ -25,12 +25,14 @@
 //!   budget trace, and strategy diagnostics), with metadata mirroring the
 //!   paper's Table 1;
 //! * the error standard `E_M` (Definition 3: *scaled average per-query
-//!   error*).
+//!   error*);
+//! * the one [`json`] codec behind every on-disk and wire format.
 
 pub mod budget;
 pub mod data;
 pub mod domain;
 pub mod error;
+pub mod json;
 pub mod mechanism;
 pub mod primitives;
 pub mod query;

@@ -23,6 +23,7 @@
 use crate::budget::{BudgetExhausted, BudgetLedger, SpendRecord};
 use crate::data::DataVector;
 use crate::domain::Domain;
+use crate::json;
 use crate::workload::Workload;
 use crate::workspace::Workspace;
 use rand::RngCore;
@@ -221,11 +222,9 @@ impl Release {
     }
 
     /// Serialize the release as one self-contained JSON object — the wire
-    /// format of the online release server (the workspace's serde is a
-    /// vendored marker stub, so all JSON in this codebase is hand-rolled,
-    /// matching the harness ledger discipline: fixed field order, floats
-    /// in Rust's shortest round-trip formatting so parse → re-format
-    /// reproduces the bytes, strings escaped minimally).
+    /// format of the online release server: fixed field order, values
+    /// through the shared [`json`] encoders (shortest round-trip floats,
+    /// so parse → re-format reproduces the bytes).
     ///
     /// ```text
     /// {"mechanism":"DAWA","data_independent":false,"spent":0.1,
@@ -244,7 +243,7 @@ impl Release {
     pub fn to_json_into(&self, out: &mut String) {
         out.reserve(64 + 16 * self.estimate.len());
         out.push_str("{\"mechanism\":\"");
-        json_escape_into(&self.diagnostics.mechanism, out);
+        json::push_str(out, &self.diagnostics.mechanism);
         out.push_str("\",\"data_independent\":");
         out.push_str(if self.diagnostics.data_independent {
             "true"
@@ -252,16 +251,16 @@ impl Release {
             "false"
         });
         out.push_str(",\"spent\":");
-        push_f64(self.spent(), out);
+        json::push_f64(out, self.spent());
         out.push_str(",\"budget_trace\":[");
         for (i, r) in self.budget_trace.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"label\":\"");
-            json_escape_into(&r.label, out);
+            json::push_str(out, &r.label);
             out.push_str("\",\"eps\":");
-            push_f64(r.epsilon, out);
+            json::push_f64(out, r.epsilon);
             out.push('}');
         }
         out.push_str("],\"estimate\":[");
@@ -269,38 +268,9 @@ impl Release {
             if i > 0 {
                 out.push(',');
             }
-            push_f64(*v, out);
+            json::push_f64(out, *v);
         }
         out.push_str("]}");
-    }
-}
-
-/// Append a float in shortest round-trip formatting; non-finite values
-/// (which valid releases never produce, but a wire format must not emit
-/// bare `inf`/`NaN` tokens) become `null`.
-fn push_f64(v: f64, out: &mut String) {
-    use std::fmt::Write;
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// Minimal JSON string escape: quotes, backslashes, and control bytes.
-/// Mechanism names and trace labels are internal identifiers that never
-/// contain these, but a serializer must not rely on that.
-fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
 }
 

@@ -111,11 +111,11 @@ pub struct ExperimentConfig {
 }
 
 /// True when `s` is a plain identifier (`[A-Za-z0-9_*-]+`) — the only
-/// names the hand-rolled JSONL ledger can round-trip (its writer never
-/// escapes strings, so a quote, backslash, comma, or separator character
-/// in a dataset/algorithm name would produce an unreadable file or a
-/// corrupt header summary). `*` is admitted solely for the paper's
-/// starred variants (`MWEM*`, `AHP*`); it is JSONL- and summary-safe.
+/// names the JSONL ledger templates can write (they interpolate names
+/// verbatim, so a quote or backslash would produce an unreadable file,
+/// and a comma or separator character a corrupt header summary). `*` is
+/// admitted solely for the paper's starred variants (`MWEM*`, `AHP*`);
+/// it is JSONL- and summary-safe.
 pub fn is_valid_identifier(s: &str) -> bool {
     !s.is_empty()
         && s.bytes()

@@ -247,8 +247,10 @@ fn header_fingerprint(path: &Path) -> Option<u64> {
     if !line.ends_with('\n') {
         return None;
     }
-    let rest = &line[line.find("\"fp\":\"")? + 6..];
-    u64::from_str_radix(rest.get(..16)?, 16).ok()
+    match crate::sink::classify(&line) {
+        crate::sink::Line::Header { fingerprint, .. } => Some(fingerprint),
+        _ => None,
+    }
 }
 
 /// Where one shard stands before (re)launching.
@@ -415,8 +417,8 @@ struct StatusInput<'a> {
     steals: &'a [StealRec],
 }
 
-/// Render the single-line fleet-status JSON (hand-built like every other
-/// writer in this codebase — no serde dependency).
+/// Render the single-line fleet-status JSON; the template is the feed's
+/// byte-level spec.
 fn render_status(s: &StatusInput) -> String {
     let mut out = String::with_capacity(256);
     out.push_str(&format!(
@@ -1358,11 +1360,22 @@ mod tests {
         });
         assert!(s.ends_with('\n'));
         assert_eq!(s.trim_end().lines().count(), 1);
-        assert!(s.contains("\"t\":\"fleet-status\""));
-        assert!(s.contains("\"fp\":\"000000000000abcd\""));
-        assert!(s.contains("\"units_done\":2"));
-        assert!(s.contains("\"shards\":[{\"index\":0,\"units\":4,\"done\":2"));
-        assert!(s.contains("\"steals\":[]"));
+        let v = dpbench_core::json::parse(&s).expect("status line is JSON");
+        let str_at = |key| v.get(key).and_then(|x| x.as_str());
+        assert_eq!(str_at("t"), Some("fleet-status"));
+        assert_eq!(str_at("fp"), Some("000000000000abcd"));
+        assert_eq!(v.get("units_done").and_then(|x| x.as_u64()), Some(2));
+        let shards = v.get("shards").and_then(|x| x.as_array()).unwrap();
+        assert_eq!(shards.len(), 1);
+        for (key, want) in [("index", 0), ("units", 4), ("done", 2), ("attempts", 1)] {
+            assert_eq!(
+                shards[0].get(key).and_then(|x| x.as_u64()),
+                Some(want),
+                "{key}"
+            );
+        }
+        assert_eq!(v.get("steals").and_then(|x| x.as_array()), Some(&[][..]));
+        assert_eq!(v.get("complete").and_then(|x| x.as_bool()), Some(false));
     }
 
     /// A launcher that never spawns anything — exercises the driver's

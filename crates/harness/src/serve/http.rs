@@ -1,6 +1,7 @@
 //! Minimal HTTP/1.1 for the release server: request parsing with
-//! keep-alive over `std::net::TcpStream`, response writing, and a
-//! flat-JSON body parser.
+//! keep-alive over `std::net::TcpStream`, response writing, and the
+//! flat-object rule for JSON bodies (the JSON itself is read by
+//! [`dpbench_core::json`]).
 //!
 //! The workspace is offline-vendored (no hyper, no serde), so this layer
 //! implements exactly the subset the server needs: `GET`/`POST`, header
@@ -14,6 +15,7 @@
 //! everything structurally wrong) — never a panic, never an unbounded
 //! buffer. Caps: 16 KiB head, 64 headers, 1 MiB body.
 
+use dpbench_core::json::{self, Value};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -285,214 +287,24 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Flat JSON object parsing (request bodies)
-// ---------------------------------------------------------------------------
-
-/// A JSON scalar — the only value kind the release API accepts (the
-/// request schema is deliberately flat).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// A JSON string (escapes decoded).
-    Str(String),
-    /// A JSON number.
-    Num(f64),
-    /// `true` / `false`.
-    Bool(bool),
-    /// `null`.
-    Null,
-}
-
-impl JsonValue {
-    /// The string content, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// Parse one flat JSON object (`{"k": scalar, ...}`) into a map. Nested
-/// objects and arrays are rejected with a clear message — the release API
-/// has no nested request fields, and refusing them beats half-parsing.
-pub fn parse_object(s: &str) -> Result<HashMap<String, JsonValue>, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
+/// Parse a release request body: one JSON object whose values are all
+/// scalars. Whatever [`json::parse`] refuses (bad syntax, a duplicate key,
+/// a non-JSON number, nesting past [`json::MAX_DEPTH`]) is refused here,
+/// and so is any nested object or array — the release API has no nested
+/// request fields, and refusing them beats half-parsing.
+pub fn parse_object(s: &str) -> Result<HashMap<String, Value<'static>>, String> {
+    let Value::Obj(members) = json::parse(s).map_err(|e| e.to_string())? else {
+        return Err("request body must be a JSON object".into());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut map = HashMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.parse_string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.parse_scalar()?;
-            map.insert(key, value);
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => continue,
-                Some(b'}') => break,
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}', got {:?}",
-                        other.map(char::from)
-                    ))
-                }
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err("trailing bytes after JSON object".into());
-    }
-    Ok(map)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn next(&mut self) -> Option<u8> {
-        let b = self.peek();
-        if b.is_some() {
-            self.pos += 1;
-        }
-        b
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .peek()
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\r' | b'\n'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, want: u8) -> Result<(), String> {
-        match self.next() {
-            Some(b) if b == want => Ok(()),
-            other => Err(format!(
-                "expected {:?}, got {:?}",
-                char::from(want),
-                other.map(char::from)
+    members
+        .into_iter()
+        .map(|(key, value)| match value {
+            Value::Arr(_) | Value::Obj(_) => Err(format!(
+                "field {key:?}: nested objects/arrays are not accepted by this API"
             )),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.next() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0_u32;
-                        for _ in 0..4 {
-                            let d = self.next().ok_or("truncated \\u escape")?;
-                            code = code * 16
-                                + (d as char).to_digit(16).ok_or("bad \\u escape digit")?;
-                        }
-                        out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {:?}", other.map(char::from))),
-                },
-                Some(b) if b < 0x20 => return Err("raw control byte in string".into()),
-                Some(b) => {
-                    // Re-assemble multi-byte UTF-8 sequences byte-wise.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or("invalid UTF-8 in string")?;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err("truncated UTF-8 sequence".into());
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_scalar(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'{') | Some(b'[') => {
-                Err("nested objects/arrays are not accepted by this API".into())
-            }
-            Some(b't') => self.keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
-            Some(b'n') => self.keyword("null", JsonValue::Null),
-            Some(_) => {
-                let start = self.pos;
-                while self
-                    .peek()
-                    .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-                {
-                    self.pos += 1;
-                }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-                text.parse()
-                    .map(JsonValue::Num)
-                    .map_err(|_| format!("bad number {text:?}"))
-            }
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal (expected {word})"))
-        }
-    }
-}
-
-/// Leading-byte length of a UTF-8 sequence (`None` for continuation or
-/// invalid leading bytes).
-fn utf8_len(b: u8) -> Option<usize> {
-    match b {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
-    }
+            scalar => Ok((key.into_owned(), scalar.into_owned())),
+        })
+        .collect()
 }
 
 /// One-shot HTTP client for tests, drills, and the bench binary: connect,
@@ -773,8 +585,8 @@ mod tests {
         .unwrap();
         assert_eq!(m["tenant"].as_str(), Some("alice"));
         assert_eq!(m["eps"].as_f64(), Some(0.25));
-        assert_eq!(m["slo"], JsonValue::Bool(true));
-        assert_eq!(m["note"], JsonValue::Null);
+        assert_eq!(m["slo"], Value::Bool(true));
+        assert_eq!(m["note"], Value::Null);
     }
 
     #[test]

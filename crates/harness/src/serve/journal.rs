@@ -1,12 +1,12 @@
 //! Persistent JSONL spend journal for the release server.
 //!
 //! Same discipline as the result ledger in [`crate::sink`]: one JSON
-//! object per line, fixed field order, shortest-round-trip floats, no
-//! string escapes (tenant names are validated identifiers). A malformed
-//! line mid-file is hard corruption (`InvalidData` naming the line); a
-//! torn **final** line — the only damage a crash mid-append can cause —
-//! is healed by truncation on reopen, which loses at most the one record
-//! whose spend never produced a response.
+//! object per line, fixed field order, shortest-round-trip floats, read
+//! back through [`dpbench_core::json`]. A malformed line mid-file is hard
+//! corruption (`InvalidData` naming the line); a torn **final** line —
+//! the only damage a crash mid-append can cause — is healed by truncation
+//! on reopen, which loses at most the one record whose spend never
+//! produced a response.
 //!
 //! Bit-exact recovery: the accountant holds its tenant lock across both
 //! the in-memory ledger op and the journal append, so per-tenant journal
@@ -31,6 +31,7 @@
 //!   spend record.
 
 use crate::sink::{bad, TornTail};
+use dpbench_core::json::{self, Value};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -270,47 +271,42 @@ enum JLine {
 }
 
 /// Classify (and fully parse) one line; shared by the replay reader and
-/// the tail repair so "well-formed" means the same thing to both.
+/// the tail repair so "well-formed" means the same thing to both. A crash
+/// tear fails the strict parse (see `sink::classify`).
 fn classify(line: &str) -> JLine {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return JLine::Blank;
     }
-    // Structural completeness first (see `sink::classify`): a crash tear
-    // can truncate a trailing number to a shorter, still-parseable one.
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return JLine::Malformed("truncated record");
-    }
-    match field(line, "t") {
-        Some("tenants") => match field(line, "v").and_then(|v| v.parse::<u32>().ok()) {
-            Some(1) => JLine::Header,
-            _ => JLine::Malformed("unsupported journal version"),
-        },
-        Some(tag @ ("spend" | "refund")) => {
-            let tenant = field(line, "tenant");
-            let eps = field(line, "eps").and_then(|s| s.parse::<f64>().ok());
-            let seq = field(line, "seq").and_then(|s| s.parse::<u64>().ok());
-            match (tenant, eps, seq) {
-                (Some(tenant), Some(eps), Some(_)) if eps.is_finite() && eps >= 0.0 => {
-                    JLine::Record(JournalRecord {
-                        tenant: tenant.to_string(),
-                        op: if tag == "spend" {
-                            JournalOp::Spend
-                        } else {
-                            JournalOp::Refund
-                        },
-                        eps,
-                    })
-                }
-                _ => JLine::Malformed("malformed journal record"),
+    let rec = match json::parse(trimmed) {
+        Ok(rec) => rec,
+        Err(e) => return JLine::Malformed(e.msg),
+    };
+    let op = match rec.get("t").and_then(Value::as_str) {
+        Some("tenants") => {
+            return match rec.get("v").and_then(Value::as_num::<u32>) {
+                Some(1) => JLine::Header,
+                _ => JLine::Malformed("unsupported journal version"),
             }
         }
-        _ => JLine::Malformed("unrecognized record"),
+        Some("spend") => JournalOp::Spend,
+        Some("refund") => JournalOp::Refund,
+        _ => return JLine::Malformed("unrecognized record"),
+    };
+    let tenant = rec.get("tenant").and_then(Value::as_str);
+    let eps = rec.get("eps").and_then(Value::as_f64);
+    let seq = rec.get("seq").and_then(Value::as_u64);
+    match (tenant, eps, seq) {
+        (Some(tenant), Some(eps), Some(_)) if eps.is_finite() && eps >= 0.0 => {
+            JLine::Record(JournalRecord {
+                tenant: tenant.to_string(),
+                op,
+                eps,
+            })
+        }
+        _ => JLine::Malformed("malformed journal record"),
     }
 }
-
-/// Re-export of the sink module's field extractor (single-line JSON).
-use crate::sink::field;
 
 /// The result of scanning raw journal bytes.
 struct Scan {

@@ -8,7 +8,7 @@
 //!
 //! - [`http`] — a hand-rolled HTTP/1.1 layer over `std::net::TcpListener`
 //!   (the workspace is offline-vendored; no tokio/hyper): request
-//!   parsing, keep-alive, and a flat-JSON body parser.
+//!   parsing, keep-alive, and the flat-object rule for JSON bodies.
 //! - [`accountant`] — [`TenantAccountant`], per-tenant ε budgets on the
 //!   existing `BudgetLedger` with atomic check-and-reserve before
 //!   `Plan::execute`, refund on mechanism error, and 429-style admission

@@ -40,7 +40,7 @@
 
 use super::accountant::{parse_tenant_grants, AdmissionError, ReloadOutcome, TenantAccountant};
 use super::batcher::Batcher;
-use super::http::{self, JsonValue, Request};
+use super::http::{self, Request};
 use super::limits::{Limits, RateLimiter};
 use super::poller::{Backend, Event, Interest, Poller, TimerWheel};
 use super::shutdown;
@@ -48,6 +48,7 @@ use crate::config::WorkloadSpec;
 use crate::runner::PlanCache;
 use crate::selector::{Confidence, SelectionProfile, SelectorQuery, ShapeClass};
 use dpbench_algorithms::registry::mechanism_by_name;
+use dpbench_core::json::{self, Value, F64};
 use dpbench_core::mechanism::execute_eps_with;
 use dpbench_core::rng::{hash_str, rng_for};
 use dpbench_core::{
@@ -1046,9 +1047,9 @@ fn route(
                         let _ = write!(
                             out,
                             "{{\"tenant\":\"{tenant}\",\"total\":{},\"spent\":{},\"remaining\":{},\"releases\":{}}}",
-                            jf(snap.total),
-                            jf(snap.spent),
-                            jf(snap.remaining),
+                            F64(snap.total),
+                            F64(snap.spent),
+                            F64(snap.remaining),
                             snap.releases
                         );
                         RespMeta::new(200)
@@ -1088,7 +1089,7 @@ fn handle_readyz(state: &ServerState, stopping: bool, out: &mut String) -> RespM
     let _ = write!(
         out,
         "{{\"ready\":true,\"conns\":{conns},\"est_wait_ms\":{}}}",
-        jf(est_wait_ms)
+        F64(est_wait_ms)
     );
     RespMeta::new(200)
 }
@@ -1177,7 +1178,7 @@ fn handle_release(
         Ok(f) => f,
         Err(e) => return err_meta(out, 400, "bad_request", &e),
     };
-    let str_field = |key: &str| fields.get(key).and_then(JsonValue::as_str);
+    let str_field = |key: &str| fields.get(key).and_then(Value::as_str);
 
     let Some(tenant) = str_field("tenant") else {
         return err_meta(out, 400, "bad_request", "missing \"tenant\"");
@@ -1185,7 +1186,7 @@ fn handle_release(
     let Some(dataset_name) = str_field("dataset") else {
         return err_meta(out, 400, "bad_request", "missing \"dataset\"");
     };
-    let Some(eps) = fields.get("eps").and_then(JsonValue::as_f64) else {
+    let Some(eps) = fields.get("eps").and_then(Value::as_f64) else {
         return err_meta(out, 400, "bad_request", "missing numeric \"eps\"");
     };
     if !(eps.is_finite() && eps > 0.0) {
@@ -1220,7 +1221,7 @@ fn handle_release(
             out,
             "{{\"error\":\"overloaded\",\"detail\":\"estimated wait {}ms exceeds limit\",\"est_wait_ms\":{}}}",
             est_wait_ms.round(),
-            jf(est_wait_ms)
+            F64(est_wait_ms)
         );
         return RespMeta::retry(503, retry_after_s(est_wait_ms));
     }
@@ -1266,7 +1267,7 @@ fn handle_release(
             selection = Some(format!(
                 "{{\"source\":\"profile\",\"confidence\":\"{}\",\"regret\":{},\"reason\":\"{}\"}}",
                 rec.confidence.as_str(),
-                jf(chosen.regret),
+                F64(chosen.regret),
                 rec.reason()
             ));
             Some(chosen.mechanism.clone())
@@ -1324,8 +1325,8 @@ fn handle_release(
             let _ = write!(
                 out,
                 "{{\"error\":\"budget_exhausted\",\"requested\":{},\"remaining\":{}}}",
-                jf(requested),
-                jf(remaining)
+                F64(requested),
+                F64(remaining)
             );
             return RespMeta::new(429);
         }
@@ -1405,9 +1406,9 @@ fn handle_release(
     let _ = write!(
         out,
         "{{\"tenant\":\"{tenant}\",\"dataset\":\"{dataset_name}\",\"mechanism\":\"{mech_name}\",\"requested_mechanism\":\"{requested_mech}\",\"eps\":{},\"remaining\":{},\"plan_cache_hit\":{cache_hit},\"batched\":{batched},\"latency_ms\":{}",
-        jf(eps),
-        jf(remaining),
-        jf(latency_ms)
+        F64(eps),
+        F64(remaining),
+        F64(latency_ms)
     );
     if let Some(sel) = &selection {
         let _ = write!(out, ",\"selection\":{sel}");
@@ -1416,8 +1417,8 @@ fn handle_release(
         let _ = write!(
             out,
             ",\"slo\":{{\"scaled_l1\":{},\"scaled_l2\":{}}}",
-            jf(l1),
-            jf(l2)
+            F64(l1),
+            F64(l2)
         );
     }
     out.push_str(",\"release\":");
@@ -1515,7 +1516,7 @@ fn status_json(state: &ServerState) -> String {
     };
     format!(
         "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"batches\":{{\"led\":{},\"followed\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"{}\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
-        jf(state.started.elapsed().as_secs_f64()),
+        F64(state.started.elapsed().as_secs_f64()),
         state.requests.load(Ordering::Relaxed),
         state.parked_len(),
         state.accountant.len(),
@@ -1546,8 +1547,8 @@ fn status_json(state: &ServerState) -> String {
     )
 }
 
-/// `{"error": code, "detail": detail}` with minimal escaping (details are
-/// our own messages; quotes/backslashes are escaped defensively).
+/// `{"error": code, "detail": detail}`; `detail` may echo client bytes
+/// (a path, a field name), so it goes through [`json::push_str`].
 fn error_json(code: &str, detail: &str) -> String {
     let mut out = String::with_capacity(32 + detail.len());
     error_json_into(code, detail, &mut out);
@@ -1557,25 +1558,6 @@ fn error_json(code: &str, detail: &str) -> String {
 /// Append the [`error_json`] body to `out` (the pooled-buffer path).
 fn error_json_into(code: &str, detail: &str, out: &mut String) {
     let _ = write!(out, "{{\"error\":\"{code}\",\"detail\":\"");
-    for c in detail.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    json::push_str(out, detail);
     out.push_str("\"}");
-}
-
-/// JSON float: shortest round-trip for finite values, `null` otherwise.
-fn jf(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }

@@ -20,11 +20,9 @@
 //!
 //! ## The JSONL format
 //!
-//! One self-describing JSON object per line, written and parsed by this
-//! module (no external JSON dependency; field order is fixed, strings are
-//! never escaped — dataset and algorithm names are validated identifiers,
-//! enforced at write time by [`ExperimentConfig::validate`] and
-//! [`JsonlSink`]'s `begin`):
+//! One self-describing JSON object per line, written by this module's
+//! `format!` templates (fixed field order) and read back through
+//! [`dpbench_core::json`]:
 //!
 //! ```text
 //! {"t":"run","fp":"<16 hex>","n_trials":3,"cfg":"datasets=…;…"}  ← header
@@ -58,6 +56,7 @@
 use crate::config::{is_valid_identifier, Setting};
 use crate::manifest::{ManifestUnit, RunManifest, UnitId};
 use crate::results::{parse_domain, ErrorSample, ResultStore};
+use dpbench_core::json::{self, Value};
 use dpbench_stats::{Centroid, StreamingSummary, Summary, TDigest, Welford};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -253,9 +252,12 @@ fn format_header(fingerprint: u64, n_trials: usize, cfg: Option<&str>) -> String
     }
 }
 
-/// Reject a manifest whose identifiers (or config summary) the
-/// escape-free JSONL writer cannot represent — fail before the first
-/// ledger byte instead of producing an unreadable file.
+/// Reject a manifest whose identifiers (or config summary) the ledger
+/// templates cannot represent — fail before the first ledger byte instead
+/// of producing an unreadable file. The templates interpolate names
+/// verbatim, with no escaping, because they are the byte-level spec that
+/// resume, sharding and merge compare with `diff`; an identifier that
+/// would need escaping therefore has no ledger form at all.
 fn validate_manifest_for_jsonl(manifest: &RunManifest) -> io::Result<()> {
     let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidInput, what);
     if manifest
@@ -659,20 +661,25 @@ pub fn read_summary<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
         if line.trim().is_empty() {
             continue;
         }
-        match field(&line, "t") {
+        let rec = json::parse(&line).map_err(|e| bad(i, &e.to_string()))?;
+        match rec.get("t").and_then(Value::as_str) {
             Some("agg") => {
-                let fp = field(&line, "fp")
+                let fp = rec
+                    .get("fp")
+                    .and_then(Value::as_str)
                     .and_then(|s| u64::from_str_radix(s, 16).ok())
                     .ok_or_else(|| bad(i, "bad summary header fingerprint"))?;
                 if sink.fingerprint.is_some() {
                     return Err(bad(i, "duplicate summary header"));
                 }
                 sink.fingerprint = Some(fp);
-                sink.n_trials = field(&line, "n_trials")
-                    .and_then(|s| s.parse().ok())
+                sink.n_trials = rec
+                    .get("n_trials")
+                    .and_then(Value::as_num)
                     .ok_or_else(|| bad(i, "bad summary header n_trials"))?;
-                sink.samples_seen = field(&line, "samples")
-                    .and_then(|s| s.parse().ok())
+                sink.samples_seen = rec
+                    .get("samples")
+                    .and_then(Value::as_u64)
                     .ok_or_else(|| bad(i, "bad summary header sample count"))?;
             }
             Some("g") => {
@@ -680,7 +687,7 @@ pub fn read_summary<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
                     return Err(bad(i, "group record before summary header"));
                 }
                 let (alg, setting, summary) =
-                    parse_group(&line).ok_or_else(|| bad(i, "malformed group record"))?;
+                    parse_group(&rec).ok_or_else(|| bad(i, "malformed group record"))?;
                 group_count += summary.count();
                 if sink
                     .groups
@@ -711,56 +718,39 @@ pub fn read_summary<P: AsRef<Path>>(path: P) -> io::Result<AggregatingSink> {
     Ok(sink)
 }
 
-/// Parse one `{"t":"g",…}` summary group line.
-fn parse_group(line: &str) -> Option<(String, Setting, StreamingSummary)> {
-    let alg = field(line, "alg")?.to_string();
-    let setting = parse_setting(line)?;
-    let n: u64 = field(line, "n")?.parse().ok()?;
-    let mean: f64 = field(line, "mean")?.parse().ok()?;
-    let m2: f64 = field(line, "m2")?.parse().ok()?;
-    let min: f64 = field(line, "min")?.parse().ok()?;
-    let max: f64 = field(line, "max")?.parse().ok()?;
-    let comp: f64 = field(line, "comp")?.parse().ok()?;
-    let centroids = parse_centroids(line)?;
-    let digest = TDigest::from_parts(comp, min, max, centroids);
+/// Parse one `{"t":"g",…}` summary group record.
+fn parse_group(rec: &Value) -> Option<(String, Setting, StreamingSummary)> {
+    let float = |key| rec.get(key).and_then(Value::as_f64);
+    let alg = rec.get("alg")?.as_str()?.to_string();
+    let setting = parse_setting(rec)?;
+    let n = rec.get("n")?.as_u64()?;
+    let (min, max) = (float("min")?, float("max")?);
+    let centroids = rec
+        .get("cent")?
+        .as_array()?
+        .iter()
+        .map(|pair| match pair.as_array()? {
+            [mean, weight] => Some(Centroid {
+                mean: mean.as_f64()?,
+                weight: weight.as_f64()?,
+            }),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
+    let digest = TDigest::from_parts(float("comp")?, min, max, centroids);
     if digest.count() != n {
         return None; // weights disagree with the moment count
     }
     Some((
         alg,
         setting,
-        StreamingSummary::from_parts(Welford::from_parts(n, mean, m2), min, max, digest),
+        StreamingSummary::from_parts(
+            Welford::from_parts(n, float("mean")?, float("m2")?),
+            min,
+            max,
+            digest,
+        ),
     ))
-}
-
-/// Parse the `"cent":[[mean,weight],…]` array of a group record.
-fn parse_centroids(line: &str) -> Option<Vec<Centroid>> {
-    let tag = "\"cent\":[";
-    let start = line.find(tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find(']').and_then(|_| {
-        // The array ends at the first "]]" (inner pair close + array
-        // close) or immediately for an empty array.
-        if rest.starts_with(']') {
-            Some(0)
-        } else {
-            rest.find("]]").map(|i| i + 1)
-        }
-    })?;
-    let body = &rest[..end];
-    let mut out = Vec::new();
-    for pair in body.split("],") {
-        let pair = pair.trim_start_matches('[').trim_end_matches(']');
-        if pair.is_empty() {
-            continue;
-        }
-        let (m, w) = pair.split_once(',')?;
-        out.push(Centroid {
-            mean: m.parse().ok()?,
-            weight: w.parse().ok()?,
-        });
-    }
-    Some(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -824,27 +814,13 @@ pub(crate) fn bad(line_no: usize, what: &str) -> io::Error {
     )
 }
 
-/// Extract the raw value of `"key":` from a single-line JSON record
-/// (string values unquoted; this module's own writer guarantees the
-/// format, including that strings contain no escapes).
-pub(crate) fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next()
-    }
-}
-
 /// One fully-validated ledger line.
-enum Line<'a> {
+pub(crate) enum Line {
     /// `{"t":"run",…}` file header.
     Header {
         fingerprint: u64,
         n_trials: usize,
-        cfg: Option<&'a str>,
+        cfg: Option<String>,
     },
     /// `{"t":"u",…}` unit-completion marker.
     UnitDone { id: UnitId, pos: usize },
@@ -863,47 +839,44 @@ enum Line<'a> {
 
 /// Classify (and fully parse) one line. Every reader shares this, so
 /// "well-formed" means the same thing to the resume path, the sample
-/// loader, the merge, and the tail-repair in [`JsonlSink::append`].
-fn classify(line: &str) -> Line<'_> {
+/// loader, the merge, the fleet's header probe and the tail-repair in
+/// [`JsonlSink::append`]. A crash tear always fails the strict parse,
+/// even one that cuts a trailing number to a shorter valid one
+/// (`"pos":15}` → `"pos":1`), because the closing brace goes with it.
+pub(crate) fn classify(line: &str) -> Line {
     let trimmed = line.trim();
     if trimmed.is_empty() {
         return Line::Blank;
     }
-    // Structural completeness first: every record the writer emits ends
-    // with `}` (single-level objects, one per line), and a crash tear
-    // removes it. Without this check, a numeric tail torn to a *shorter
-    // valid number* (`"pos":15}` → `"pos":1`) would still parse and be
-    // kept — recording a unit marker at the wrong manifest position.
-    if !trimmed.starts_with('{') || !trimmed.ends_with('}') {
-        return Line::Malformed("truncated record");
-    }
-    match field(line, "t") {
+    let rec = match json::parse(trimmed) {
+        Ok(rec) => rec,
+        Err(e) => return Line::Malformed(e.msg),
+    };
+    let unit = || rec.get("unit")?.as_str().and_then(UnitId::parse);
+    let pos = || rec.get("pos")?.as_num();
+    match rec.get("t").and_then(Value::as_str) {
         Some("run") => {
-            let fp = field(line, "fp").and_then(|s| u64::from_str_radix(s, 16).ok());
-            let n_trials = field(line, "n_trials").and_then(|s| s.parse().ok());
+            let fp = rec
+                .get("fp")
+                .and_then(Value::as_str)
+                .and_then(|s| u64::from_str_radix(s, 16).ok());
+            let n_trials = rec.get("n_trials").and_then(Value::as_num);
             match (fp, n_trials) {
                 (Some(fingerprint), Some(n_trials)) => Line::Header {
                     fingerprint,
                     n_trials,
-                    cfg: field(line, "cfg"),
+                    cfg: rec.get("cfg").and_then(Value::as_str).map(str::to_string),
                 },
                 _ => Line::Malformed("malformed run header"),
             }
         }
-        Some("u") => {
-            let id = field(line, "unit").and_then(UnitId::parse);
-            let pos = field(line, "pos").and_then(|s| s.parse().ok());
-            match (id, pos) {
-                (Some(id), Some(pos)) => Line::UnitDone { id, pos },
-                _ => Line::Malformed("malformed unit marker"),
-            }
-        }
-        Some("s") => match field(line, "unit").and_then(UnitId::parse) {
-            Some(id) => match parse_sample(line) {
-                Some((pos, sample)) => Line::Sample { id, pos, sample },
-                None => Line::Malformed("malformed sample record"),
-            },
-            None => Line::Malformed("malformed sample record"),
+        Some("u") => match (unit(), pos()) {
+            (Some(id), Some(pos)) => Line::UnitDone { id, pos },
+            _ => Line::Malformed("malformed unit marker"),
+        },
+        Some("s") => match (unit(), pos(), parse_sample(&rec)) {
+            (Some(id), Some(pos), Some(sample)) => Line::Sample { id, pos, sample },
+            _ => Line::Malformed("malformed sample record"),
         },
         _ => Line::Malformed("unrecognized record"),
     }
@@ -961,7 +934,7 @@ pub fn read_ledger<P: AsRef<Path>>(path: P) -> io::Result<Ledger> {
                 Some((fp, nt, _)) if *fp != fingerprint || *nt != n_trials => {
                     return Err(bad(i, "conflicting run headers"));
                 }
-                _ => header = Some((fingerprint, n_trials, cfg.map(str::to_string))),
+                _ => header = Some((fingerprint, n_trials, cfg)),
             },
             Line::UnitDone { id, .. } => {
                 done.insert(id);
@@ -1098,27 +1071,25 @@ pub fn probe_ledger(path: &Path, from_offset: u64) -> io::Result<LedgerProbe> {
 }
 
 /// Parse the setting fields shared by sample and summary-group records.
-fn parse_setting(line: &str) -> Option<Setting> {
+fn parse_setting(rec: &Value) -> Option<Setting> {
     Some(Setting {
-        dataset: field(line, "dataset")?.to_string(),
-        scale: field(line, "scale")?.parse().ok()?,
-        domain: parse_domain(field(line, "domain")?)?,
-        epsilon: field(line, "eps")?.parse().ok()?,
+        dataset: rec.get("dataset")?.as_str()?.to_string(),
+        scale: rec.get("scale")?.as_num()?,
+        domain: parse_domain(rec.get("domain")?.as_str()?)?,
+        epsilon: rec.get("eps")?.as_f64()?,
     })
 }
 
-/// Parse one `{"t":"s",…}` line; `None` when any field is missing or
-/// malformed (a torn write).
-fn parse_sample(line: &str) -> Option<(usize, ErrorSample)> {
-    let pos: usize = field(line, "pos")?.parse().ok()?;
-    let sample = ErrorSample {
-        algorithm: field(line, "alg")?.to_string(),
-        setting: parse_setting(line)?,
-        sample: field(line, "sample")?.parse().ok()?,
-        trial: field(line, "trial")?.parse().ok()?,
-        error: field(line, "err")?.parse().ok()?,
-    };
-    Some((pos, sample))
+/// The sample of one `{"t":"s",…}` record; `None` when any field is
+/// missing or malformed.
+fn parse_sample(rec: &Value) -> Option<ErrorSample> {
+    Some(ErrorSample {
+        algorithm: rec.get("alg")?.as_str()?.to_string(),
+        setting: parse_setting(rec)?,
+        sample: rec.get("sample")?.as_num()?,
+        trial: rec.get("trial")?.as_num()?,
+        error: rec.get("err")?.as_f64()?,
+    })
 }
 
 /// Load the completed samples of a JSONL file into a [`ResultStore`]

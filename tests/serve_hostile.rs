@@ -7,6 +7,7 @@
 //! clean 4xx/5xx with a machine-readable `error` code, or a silent reap
 //! for idle peers — never a panic, a hang, or a pinned worker.
 
+use dpbench::core::json::{self, Value};
 use dpbench::harness::serve::{self, http, Limits, RateLimit, ServeConfig};
 use dpbench::prelude::*;
 use std::io::{Read, Write};
@@ -124,6 +125,50 @@ fn malformed_requests_get_clean_4xx_and_close() {
     // The server is still fully healthy afterwards.
     let (status, _) = http::request(&addr, "GET", "/v1/healthz", None).unwrap();
     assert_eq!(status, 200);
+    handle.shutdown().unwrap();
+}
+
+/// Bodies the JSON reader refuses — a duplicate key, a non-JSON number,
+/// a 1 MiB nesting bomb — are 400 `bad_request`. None of them charges
+/// the tenant, and the server keeps answering. (A duplicate `eps` used to
+/// reserve the last value, and `.5` used to parse as 0.5.)
+#[test]
+fn malformed_json_bodies_are_400s_that_spend_nothing() {
+    let handle = server_with(Limits::default(), &[("t", 10.0)]);
+    let addr = handle.addr().to_string();
+    let spent = || {
+        let (status, body) = http::request(&addr, "GET", "/v1/tenants/t/budget", None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v = json::parse(&body).unwrap();
+        v.get("spent").and_then(Value::as_f64).unwrap()
+    };
+    let release = |eps: &str| {
+        format!(
+            "{{\"tenant\":\"t\",\"dataset\":\"MEDCOST\",\"mechanism\":\"IDENTITY\",\"eps\":{eps}}}"
+        )
+    };
+    let mut bodies = vec![
+        r#"{"tenant":"t","dataset":"MEDCOST","mechanism":"IDENTITY","eps":0.1,"eps":5}"#
+            .to_string(),
+        "[".repeat(http::MAX_BODY),
+    ];
+    bodies.extend([".5", "5.", "+5", "01"].map(release));
+    for body in &bodies {
+        let (status, resp) = http::request(&addr, "POST", "/v1/release", Some(body)).unwrap();
+        let shown = &body[..body.len().min(80)];
+        assert_eq!(status, 400, "{shown}: {resp}");
+        let err = json::parse(&resp).unwrap();
+        assert_eq!(
+            err.get("error").and_then(Value::as_str),
+            Some("bad_request"),
+            "{shown}"
+        );
+        assert_eq!(spent(), 0.0, "{shown} must not charge the tenant");
+    }
+    let (status, resp) =
+        http::request(&addr, "POST", "/v1/release", Some(&release("0.5"))).unwrap();
+    assert_eq!(status, 200, "{resp}");
+    assert_eq!(spent(), 0.5);
     handle.shutdown().unwrap();
 }
 

@@ -2,6 +2,7 @@
 //! under concurrency, bit-exact journal recovery across restarts, the
 //! shared warm plan cache, and request batching.
 
+use dpbench::core::json::{self, Value};
 use dpbench::harness::serve::{self, http, JournalOp, ServeConfig, TenantAccountant};
 use dpbench::prelude::*;
 use std::path::{Path, PathBuf};
@@ -39,17 +40,13 @@ fn release_body(tenant: &str, mech: &str, eps: f64) -> String {
     format!("{{\"tenant\":\"{tenant}\",\"dataset\":\"MEDCOST\",\"mechanism\":\"{mech}\",\"eps\":{eps}}}")
 }
 
-/// Pull the integer after `"key":` out of a flat stretch of JSON. Only
-/// for keys that appear once in the body.
-fn json_u64(body: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = body.find(&pat).unwrap_or_else(|| panic!("{key} in {body}"));
-    body[at + pat.len()..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .unwrap()
+/// The integer at `path` (nested object keys) in a response body.
+fn json_u64(body: &str, path: &[&str]) -> u64 {
+    let v = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+    path.iter()
+        .try_fold(&v, |v, key| v.get(key))
+        .and_then(Value::as_u64)
+        .unwrap_or_else(|| panic!("{path:?} in {body}"))
 }
 
 /// The acceptance invariant: a tenant granted ε=1.0 spends exactly up to
@@ -191,19 +188,23 @@ fn batch_window_groups_concurrent_identical_requests() {
         .collect();
     let responses: Vec<String> = threads.into_iter().map(|t| t.join().unwrap()).collect();
 
-    let estimate_of = |resp: &str| -> String {
-        let at = resp.find("\"estimate\":[").unwrap();
-        let end = resp[at..].find(']').unwrap();
-        resp[at..at + end].to_string()
+    let estimate_of = |resp: &str| -> Vec<u64> {
+        let v = json::parse(resp).unwrap();
+        let release = v.get("release").unwrap();
+        let estimate = release.get("estimate").and_then(Value::as_array).unwrap();
+        estimate
+            .iter()
+            .map(|x| x.as_f64().unwrap().to_bits())
+            .collect()
     };
-    let mut distinct: Vec<String> = responses.iter().map(|r| estimate_of(r)).collect();
+    let mut distinct: Vec<Vec<u64>> = responses.iter().map(|r| estimate_of(r)).collect();
     distinct.sort();
     distinct.dedup();
 
     let (status, status_body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
     assert_eq!(status, 200);
-    let led = json_u64(&status_body, "led");
-    let followed = json_u64(&status_body, "followed");
+    let led = json_u64(&status_body, &["batches", "led"]);
+    let followed = json_u64(&status_body, &["batches", "followed"]);
     assert_eq!(led + followed, 4, "{status_body}");
     assert!(followed >= 1, "no request joined a batch: {status_body}");
     assert_eq!(
