@@ -1,23 +1,19 @@
-//! Benchmark, CI drill, chaos, and saturation client for `dpbench serve`.
+//! CI drill, chaos, saturation, and routing client for `dpbench serve`.
 //!
-//! Six modes, all over the serve module's std-only HTTP client:
+//! Six modes, all over the serve module's std-only HTTP client. Each
+//! asserts its claim (exiting non-zero on failure) and prints its
+//! numbers to stdout:
 //!
-//! - `bench [--out BENCH_PR6.json]` — start an in-process server on a
-//!   free port and measure release latency cold (first request per
-//!   strategy: the plan builds) vs warm (shared plan cache hot), plus
-//!   sustained requests/s; writes the numbers as JSON for CI artifacts
-//!   and PERFORMANCE.md.
 //! - `drill --addr HOST:PORT --tenant T --eps E` — POST releases against
 //!   a *running* server until it answers 429, asserting at least one
 //!   success first. Exercises the real binary over a real socket.
 //! - `verify --addr HOST:PORT --tenant T --eps E` — assert the very
 //!   first request is refused with 429 (a restarted server must refuse
 //!   from its recovered journal balance, without re-spending anything).
-//! - `chaos [--out BENCH_PR7.json]` — the hostile-world benchmark: an
-//!   in-process server under a chaos mix (2 slowloris + 1 garbage + 1
-//!   burst client) while a well-behaved tenant measures p95 release
-//!   latency, asserted within 5× the quiet baseline; then shed latency
-//!   at the connection cap, reaper overhead with 50 parked idle
+//! - `chaos` — an in-process server under a chaos mix (2 slowloris + 1
+//!   garbage + 1 burst client) while a well-behaved tenant measures p95
+//!   release latency, asserted within 5× the quiet baseline; then shed
+//!   latency at the connection cap, reaper overhead with 50 parked idle
 //!   connections, and a zero-drift accounting check (journal replay ==
 //!   live balances, bit-exact).
 //! - `chaos-drill --addr HOST:PORT --tenant T --eps E` — against the
@@ -25,18 +21,17 @@
 //!   then assert a healthy release still answers 200 within its
 //!   deadline.
 //! - `saturate [--addr A] [--pipeline N] [--open-loop RPS] [--tiny]
-//!   [--assert-min-rps R] [--out BENCH_PR8.json]` — sweep keep-alive
-//!   concurrency (1→128 connections, closed loop, optional pipelining),
-//!   record req/s and p50/p95/p99 per step, and report the saturation
-//!   knee: the smallest concurrency delivering ≥95% of peak throughput.
-//!   `--open-loop RPS` adds a fixed-arrival-rate pass at the knee, where
-//!   queueing delay surfaces as latency instead of hiding in a slower
-//!   send loop.
-//! - `route [--out BENCH_PR9.json]` — profile a 2-mechanism grid at the
-//!   served setting, start an in-process server with `--profile`, and
-//!   measure (a) warm p50 of `auto` vs the same mechanism requested
-//!   explicitly (asserted within 10%: per-request selection must be
-//!   effectively free) and (b) mean SLO error of `auto` vs fixed DAWA.
+//!   [--assert-min-rps R]` — sweep keep-alive concurrency (1→128
+//!   connections, closed loop, optional pipelining), record req/s and
+//!   p50/p95/p99 per step, and report the saturation knee: the smallest
+//!   concurrency delivering ≥95% of peak throughput. `--open-loop RPS`
+//!   adds a fixed-arrival-rate pass at the knee, where queueing delay
+//!   surfaces as latency instead of hiding in a slower send loop.
+//! - `route` — profile a 2-mechanism grid at the served setting, start
+//!   an in-process server with `--profile`, and measure (a) warm p50 of
+//!   `auto` vs the same mechanism requested explicitly (asserted within
+//!   10%: per-request selection must be effectively free) and (b) mean
+//!   SLO error of `auto` vs fixed DAWA.
 
 use dpbench_core::json::{self, Value};
 use dpbench_core::{Domain, Loss};
@@ -49,7 +44,6 @@ use dpbench_harness::{
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -73,74 +67,6 @@ fn release(addr: &str, tenant: &str, mech: &str, eps: f64) -> (u16, String) {
     http::request(addr, "POST", "/v1/release", Some(&body)).expect("server reachable")
 }
 
-fn bench(args: &[String]) {
-    let out = flag(args, "--out");
-    // Big enough grant that the measurement never hits admission control.
-    let handle = serve::start(ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        tenants: vec![("bench".into(), 1e9)],
-        threads: 4,
-        seed: 1,
-        ..ServeConfig::default()
-    })
-    .expect("start server");
-    let addr = handle.addr().to_string();
-
-    // Cold: every request plans a *distinct* strategy (DAWA at distinct
-    // ε values share one plan — vary the workload instead), so each
-    // sample pays the plan build. Simplest distinct-plan source in the
-    // registry: random workloads of distinct sizes.
-    let mut cold_ms = Vec::new();
-    for i in 0..20 {
-        let body = format!(
-            "{{\"tenant\":\"bench\",\"dataset\":\"MEDCOST\",\"mechanism\":\"GREEDY_H\",\"eps\":0.1,\"workload\":\"random:{}\"}}",
-            100 + i
-        );
-        let t0 = Instant::now();
-        let (status, resp) = http::request(&addr, "POST", "/v1/release", Some(&body)).unwrap();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(status, 200, "{resp}");
-        assert!(resp.contains("\"plan_cache_hit\":false"), "cold must build");
-        cold_ms.push(ms);
-    }
-
-    // Warm: the identical strategy repeated — same mechanism and
-    // workload shape as the cold loop (its `random:100` plan is already
-    // built), so the cold−warm gap isolates exactly the plan build.
-    let warm_body = "{\"tenant\":\"bench\",\"dataset\":\"MEDCOST\",\"mechanism\":\"GREEDY_H\",\"eps\":0.1,\"workload\":\"random:100\"}";
-    let mut warm_ms = Vec::new();
-    let sustained = Instant::now();
-    let n_warm = 200;
-    for _ in 0..n_warm {
-        let t0 = Instant::now();
-        let (status, resp) = http::request(&addr, "POST", "/v1/release", Some(warm_body)).unwrap();
-        warm_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(status, 200);
-        assert!(resp.contains("\"plan_cache_hit\":true"), "warm must hit");
-    }
-    let rps = n_warm as f64 / sustained.elapsed().as_secs_f64();
-
-    cold_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    warm_ms.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let json = format!(
-        "{{\"bench\":\"serve_pr6\",\"requests\":{},\"requests_per_s\":{:.1},\
-         \"cold_p50_ms\":{:.3},\"cold_p95_ms\":{:.3},\
-         \"warm_p50_ms\":{:.3},\"warm_p95_ms\":{:.3}}}",
-        n_warm + cold_ms.len() + 1,
-        rps,
-        percentile(&cold_ms, 0.50),
-        percentile(&cold_ms, 0.95),
-        percentile(&warm_ms, 0.50),
-        percentile(&warm_ms, 0.95),
-    );
-    println!("{json}");
-    if let Some(path) = out {
-        std::fs::write(PathBuf::from(&path), format!("{json}\n")).expect("write bench json");
-        eprintln!("wrote {path}");
-    }
-    handle.shutdown().unwrap();
-}
-
 /// The number at `path` (nested object keys) in a release/status body.
 fn num_at(body: &str, path: &[&str]) -> f64 {
     let v = json::parse(body).unwrap_or_else(|e| panic!("{e}: {body}"));
@@ -150,9 +76,7 @@ fn num_at(body: &str, path: &[&str]) -> f64 {
         .unwrap_or_else(|| panic!("no number at {path:?} in {body}"))
 }
 
-fn route(args: &[String]) {
-    let out = flag(args, "--out");
-
+fn route() {
     // 1. Profile a two-mechanism grid at exactly the setting the server
     //    will serve (MEDCOST, 256-cell 1-D domain, scale 1000, ε = 0.1,
     //    Prefix workload) — the profiled cell is the one `auto` hits.
@@ -292,10 +216,6 @@ fn route(args: &[String]) {
         (auto_p50 / explicit_p50 - 1.0) * 100.0,
     );
     println!("{json}");
-    if let Some(path) = out {
-        std::fs::write(PathBuf::from(&path), format!("{json}\n")).expect("write bench json");
-        eprintln!("wrote {path}");
-    }
     handle.shutdown().unwrap();
     let _ = std::fs::remove_file(&profile_path);
 }
@@ -401,8 +321,7 @@ fn park_idle(addr: &str, n: usize) -> Vec<TcpStream> {
         .collect()
 }
 
-fn chaos(args: &[String]) {
-    let out = flag(args, "--out");
+fn chaos() {
     let journal = std::env::temp_dir().join(format!("dpbench-chaos-{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&journal);
     let budgets = vec![("good".to_string(), 1e9), ("burst".to_string(), 1e9)];
@@ -471,8 +390,8 @@ fn chaos(args: &[String]) {
         "chaos p95 {chaos_p95:.3} ms vs quiet p95 {quiet_p95:.3} ms: ratio {ratio:.2} > 5"
     );
 
-    // Reaper overhead: 50 parked idle connections rotating through the
-    // scheduler while the good tenant measures again.
+    // Parking overhead: 50 idle connections parked on the poller while
+    // the good tenant measures again.
     let parked = park_idle(&addr, 50);
     std::thread::sleep(Duration::from_millis(100));
     let with_parked = measure(50);
@@ -506,8 +425,8 @@ fn chaos(args: &[String]) {
     drop(_cap_fill);
     drop(parked);
 
-    // The workers need a rotation or two to notice the dropped conns
-    // and free slots; poll until the server serves again.
+    // The workers free the slots once the poller reports the dropped
+    // conns' EOFs; poll until the server serves again.
     let mut status_body = None;
     let recover_t0 = Instant::now();
     while status_body.is_none() {
@@ -545,10 +464,6 @@ fn chaos(args: &[String]) {
     );
     println!("{json}");
     eprintln!("status at teardown: {status_body}");
-    if let Some(path) = out {
-        std::fs::write(PathBuf::from(&path), format!("{json}\n")).expect("write bench json");
-        eprintln!("wrote {path}");
-    }
 }
 
 fn chaos_drill(args: &[String]) {
@@ -737,9 +652,8 @@ fn open_loop_worker(
 }
 
 /// Sweep concurrency over a running (or in-process) server, find the
-/// saturation knee, and write the curve as JSON.
+/// saturation knee, and print the curve as one JSON line.
 fn saturate(args: &[String]) {
-    let out = flag(args, "--out");
     let tiny = args.iter().any(|a| a == "--tiny");
     let pipeline: usize = flag(args, "--pipeline")
         .map(|s| s.parse().expect("--pipeline N"))
@@ -873,10 +787,6 @@ fn saturate(args: &[String]) {
     }
     json.push('}');
     println!("{json}");
-    if let Some(path) = out {
-        std::fs::write(PathBuf::from(&path), format!("{json}\n")).expect("write bench json");
-        eprintln!("wrote {path}");
-    }
     if let Some(h) = handle {
         h.shutdown().expect("graceful shutdown");
     }
@@ -892,21 +802,19 @@ fn saturate(args: &[String]) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("bench") => bench(&args[1..]),
         Some("drill") => drill(&args[1..]),
         Some("verify") => verify(&args[1..]),
-        Some("chaos") => chaos(&args[1..]),
+        Some("chaos") => chaos(),
         Some("chaos-drill") => chaos_drill(&args[1..]),
         Some("saturate") => saturate(&args[1..]),
-        Some("route") => route(&args[1..]),
+        Some("route") => route(),
         _ => {
             eprintln!(
-                "usage: serve_bench <bench [--out FILE] | drill --addr A --tenant T --eps E | \
-                 verify --addr A --tenant T --eps E | chaos [--out FILE] | \
+                "usage: serve_bench <drill --addr A --tenant T --eps E | \
+                 verify --addr A --tenant T --eps E | chaos | \
                  chaos-drill --addr A --tenant T --eps E | \
                  saturate [--addr A] [--tenant T] [--eps E] [--pipeline N] \
-                 [--open-loop RPS] [--assert-min-rps R] [--tiny] [--out FILE] | \
-                 route [--out FILE]>"
+                 [--open-loop RPS] [--assert-min-rps R] [--tiny] | route>"
             );
             std::process::exit(2);
         }

@@ -13,11 +13,12 @@
 //!   missing artifacts), stall detection, live progress, and the final
 //!   k-way stream-merge with coverage verification.
 //! * [`transport`] — how shards actually run: local child processes
-//!   ([`LocalTransport`] over a [`ShardLauncher`]), an arbitrary
+//!   ([`LocalTransport`] over a [`ShardLauncher`]) or an arbitrary
 //!   templated wrapper command line ([`CommandTransport`] — covers
 //!   `ssh`, `docker run`, and `sh -c` without the driver knowing any of
-//!   them), and a deterministic fault injector ([`FaultyTransport`])
-//!   for the crash/hang/torn-copy-back test matrix.
+//!   them). The deterministic fault injector behind the
+//!   crash/hang/torn-copy-back test matrix lives with the tests
+//!   (`tests/support/faulty_transport.rs`), out of the release build.
 //! * [`progress`] — the monotone units-done tailer behind the live
 //!   per-shard progress lines.
 //!
@@ -35,7 +36,7 @@ pub use driver::{
 };
 pub use progress::ProgressTailer;
 pub use transport::{
-    sh_quote, Artifact, CommandTransport, FaultyTransport, FetchFault, FetchOutcome, LaunchFault,
-    LaunchSpec, LocalTransport, ProcessHandle, RangedFetch, RemotePaths, ShardCommandBuilder,
-    ShardHandle, ShardLauncher, ShardStatus, ShardTransport, StealSpec,
+    ranged_copy, sh_quote, Artifact, CommandTransport, FetchOutcome, LaunchSpec, LocalTransport,
+    ProcessHandle, RangedFetch, RemotePaths, ShardCommandBuilder, ShardHandle, ShardLauncher,
+    ShardStatus, ShardTransport, StealSpec,
 };

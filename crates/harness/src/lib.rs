@@ -19,7 +19,8 @@
 //!    bit-identically;
 //! 4. the [`fleet`] driver runs a whole shard fleet as one call — over
 //!    local child processes or any pluggable [`fleet::ShardTransport`]
-//!    (templated `ssh`/`docker` command lines, test fault injectors) —
+//!    (templated `ssh`/`docker` command lines, the tests' in-process
+//!    fault injector) —
 //!    fetching remote ledgers back before validating them, retrying and
 //!    resuming failures, tailing live per-shard progress, k-way
 //!    stream-merging the shard files byte-identically to a one-shot

@@ -156,8 +156,8 @@ impl TenantAccountant {
     }
 
     /// Like [`Self::new`] but journaling through an arbitrary
-    /// [`JournalIo`] — the entry point for crash-consistency tests over
-    /// [`FaultyIo`](super::fault::FaultyIo).
+    /// [`JournalIo`] — the entry point for the crash-consistency tests'
+    /// fault-injecting disk (`tests/support/faulty_io.rs`).
     pub fn new_with_io(budgets: &[(String, f64)], io: Box<dyn JournalIo>) -> io::Result<Self> {
         Self::build(budgets, Some(SpendJournal::open_with(io)?))
     }
@@ -309,6 +309,11 @@ impl TenantAccountant {
             }
         }
         Ok(outcome)
+    }
+
+    /// Whether `tenant` has a grant.
+    pub(crate) fn contains(&self, tenant: &str) -> bool {
+        self.tenant(tenant).is_some()
     }
 
     /// Current budget state of one tenant.

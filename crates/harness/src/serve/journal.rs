@@ -18,8 +18,8 @@
 //! All storage goes through the [`JournalIo`] trait, so the exact same
 //! journal logic runs over a real file ([`FileIo`]) in production and
 //! over a deterministic fault-injecting disk
-//! ([`FaultyIo`](super::fault::FaultyIo)) in the crash-consistency
-//! torture tests. Failure containment on the live path:
+//! (`tests/support/faulty_io.rs`) in the crash-consistency torture
+//! tests. Failure containment on the live path:
 //!
 //! - A failed append first tries to truncate back to the last durable
 //!   length (a short write must not leave a torn line *mid-file* for the

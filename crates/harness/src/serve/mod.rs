@@ -17,15 +17,18 @@
 //!   module's strict-reader discipline (mid-file corruption is a hard
 //!   error; only a torn final line is healed), so a restarted server
 //!   recovers **bit-exact** balances by replaying the same float ops in
-//!   the same order.
+//!   the same order. Its storage sits behind the [`journal::JournalIo`]
+//!   seam, which the test suite's deterministic fault injector
+//!   (`tests/support/faulty_io.rs`: short writes, fsync errors, torn
+//!   tails, ENOSPC) uses to make crash consistency a seeded test matrix.
 //! - [`batcher`] — groups same-strategy, same-ε requests arriving within
 //!   a short window into one `Plan::execute`; every joiner still reserves
 //!   its own ε (sharing one released value with more recipients is
 //!   post-processing and costs nothing extra against the data).
 //! - [`poller`] — the readiness layer: a raw `extern "C"` epoll binding
-//!   on Linux (one-shot events, any worker can wait), a serialized
-//!   `poll(2)` fallback for other unixes, a dependency-free timer wheel
-//!   for connection deadlines, and a self-pipe wakeup.
+//!   (one-shot events, any worker can wait), a dependency-free timer
+//!   wheel for connection deadlines, and a self-pipe wakeup. The server
+//!   is Linux-only; elsewhere `Poller::new` returns `Unsupported`.
 //! - [`server`] — the event-driven worker pool, router, and endpoints:
 //!   `POST /v1/release`, `GET /v1/tenants/:id/budget`, `GET /v1/status`,
 //!   `GET /v1/healthz`, `GET /v1/readyz`, `POST /v1/admin/reload`.
@@ -36,10 +39,6 @@
 //!   write deadlines, admission-queue bounds, and per-tenant token-bucket
 //!   rate limits. Violations answer with clean 408/413/429/431/503 (see
 //!   the README's "Failure modes & error contract" table).
-//! - [`fault`] — deterministic fault injection ([`fault::FaultyIo`]) for
-//!   the journal's [`journal::JournalIo`] seam: short writes, fsync
-//!   errors, torn tails, ENOSPC — so crash consistency is a seeded test
-//!   matrix, not a hope.
 //! - [`shutdown`] — process-wide SIGINT/SIGTERM flag (no deps: a plain
 //!   `extern "C"` binding to `signal(2)`), polled by the accept loop and
 //!   by `dpbench run`'s cancel hook so both drain and flush before exit;
@@ -52,7 +51,6 @@
 
 pub mod accountant;
 pub mod batcher;
-pub mod fault;
 pub mod http;
 pub mod journal;
 pub mod limits;
@@ -64,8 +62,7 @@ pub use accountant::{
     parse_tenant_grants, AdmissionError, BudgetSnapshot, ReloadOutcome, TenantAccountant,
 };
 pub use batcher::Batcher;
-pub use fault::{AppendFault, FaultyIo};
 pub use journal::{FileIo, JournalIo, JournalOp, JournalRecord, SpendJournal};
 pub use limits::{Limits, RateLimit, RateLimiter};
-pub use poller::{Backend, Poller, TimerWheel};
+pub use poller::{Poller, TimerWheel};
 pub use server::{start, ServeConfig, ServerHandle};

@@ -13,8 +13,8 @@
 //! ## Scheduling
 //!
 //! Workers do not own connections; connections are **parked** on a
-//! readiness [`Poller`] (`epoll` on Linux, `poll(2)` on other unixes —
-//! see [`super::poller`]). The listener and every parked socket register
+//! readiness [`Poller`] (`epoll`; see [`super::poller`] — the server is
+//! Linux-only). The listener and every parked socket register
 //! one-shot read/write interest; workers block on `poller.wait()` and
 //! each delivered event hands exactly one connection to exactly one
 //! worker, which drains arrived bytes, serves any complete requests,
@@ -42,7 +42,7 @@ use super::accountant::{parse_tenant_grants, AdmissionError, ReloadOutcome, Tena
 use super::batcher::Batcher;
 use super::http::{self, Request};
 use super::limits::{Limits, RateLimiter};
-use super::poller::{Backend, Event, Interest, Poller, TimerWheel};
+use super::poller::{Event, Interest, Poller, TimerWheel};
 use super::shutdown;
 use crate::config::WorkloadSpec;
 use crate::runner::PlanCache;
@@ -96,10 +96,6 @@ pub struct ServeConfig {
     pub batch_window: Duration,
     /// Connection caps, deadlines, and rate limits.
     pub limits: Limits,
-    /// Readiness backend (`Auto` resolves to epoll on Linux, `poll(2)`
-    /// on other unixes). `Poll` forces the portable fallback — the
-    /// fallback test suite runs the full hostile contract against it.
-    pub poller: Backend,
     /// Seed stirred into data generation and release noise.
     pub seed: u64,
     /// Operator opt-in: include the SLO error block (scaled L1/L2 vs the
@@ -126,7 +122,6 @@ impl Default for ServeConfig {
             threads: 4,
             batch_window: Duration::ZERO,
             limits: Limits::default(),
-            poller: Backend::Auto,
             seed: 0,
             slo: false,
             profile: None,
@@ -248,7 +243,7 @@ fn raw_fd<T: std::os::unix::io::AsRawFd>(s: &T) -> i32 {
 
 #[cfg(not(unix))]
 fn raw_fd<T>(_s: &T) -> i32 {
-    0 // the Sim backend never touches real fds
+    unreachable!("Poller::new refuses to start off Linux")
 }
 
 /// Shared state of a running server — exposed through
@@ -514,7 +509,7 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let poller = Poller::new(config.poller)?;
+    let poller = Poller::new()?;
     poller.register(raw_fd(&listener), LISTENER_TOKEN, Interest::READ)?;
 
     let state = Arc::new(ServerState {
@@ -714,7 +709,7 @@ fn park(state: &ServerState, conn: Conn) {
 
 /// Close a claimed connection and release its resources.
 fn close_conn(state: &ServerState, conn: Conn) {
-    state.poller.deregister(raw_fd(&conn.stream), conn.token);
+    state.poller.deregister(raw_fd(&conn.stream));
     state.conn_count.fetch_sub(1, Ordering::Relaxed);
     // The stream drops (and the fd closes) here.
 }
@@ -1226,6 +1221,11 @@ fn handle_release(
         return RespMeta::retry(503, retry_after_s(est_wait_ms));
     }
     if let Some(rl) = &state.rate_limiter {
+        // Resolve the tenant first: a bucket is never minted for a name
+        // without a grant, so a ghost tenant answers 404, never 429.
+        if !state.accountant.contains(tenant) {
+            return err_meta(out, 404, "unknown_tenant", tenant);
+        }
         if let Err(wait_s) = rl.admit(tenant, Instant::now()) {
             state.robust.rate_limited.fetch_add(1, Ordering::Relaxed);
             error_json_into("rate_limited", "per-tenant request rate exceeded", out);
@@ -1239,11 +1239,9 @@ fn handle_release(
     // IDENTITY otherwise — only when no profile covers this request.
     let requested_mech = str_field("mechanism").unwrap_or("auto");
     let mut selection: Option<String> = None;
+    // The selector counter an `auto` request bumps once it is admitted.
+    let mut routed_by: Option<&AtomicU64> = None;
     let mech_name = if requested_mech == "auto" {
-        state
-            .selector_stats
-            .auto_requests
-            .fetch_add(1, Ordering::Relaxed);
         let routed = state.current_profile().and_then(|profile| {
             let q = SelectorQuery {
                 domain: state.domain,
@@ -1259,11 +1257,10 @@ fn handle_release(
                     .map(|m| m.supports(&state.domain))
                     .unwrap_or(false)
             })?;
-            match rec.confidence {
+            routed_by = Some(match rec.confidence {
                 Confidence::Exact => &state.selector_stats.exact,
                 Confidence::Near => &state.selector_stats.near,
-            }
-            .fetch_add(1, Ordering::Relaxed);
+            });
             selection = Some(format!(
                 "{{\"source\":\"profile\",\"confidence\":\"{}\",\"regret\":{},\"reason\":\"{}\"}}",
                 rec.confidence.as_str(),
@@ -1273,10 +1270,7 @@ fn handle_release(
             Some(chosen.mechanism.clone())
         });
         routed.unwrap_or_else(|| {
-            state
-                .selector_stats
-                .fallback_default
-                .fetch_add(1, Ordering::Relaxed);
+            routed_by = Some(&state.selector_stats.fallback_default);
             let dawa = mechanism_by_name("DAWA").expect("registry always has DAWA");
             let name = if dawa.supports(&state.domain) {
                 "DAWA"
@@ -1303,10 +1297,6 @@ fn handle_release(
             &format!("{mech_name} does not support domain {}", state.domain),
         );
     }
-    {
-        let mut counts = state.mech_counts.lock().expect("counts poisoned");
-        *counts.entry(mech_name.clone()).or_insert(0) += 1;
-    }
 
     let workload = match workload_for(state, str_field("workload")) {
         Ok(w) => w,
@@ -1332,6 +1322,21 @@ fn handle_release(
         }
         Err(AdmissionError::Journal(e)) => return err_meta(out, 503, "journal_unavailable", &e),
     }
+    // Count the release only once it is admitted: a refused request
+    // (unknown tenant, exhausted budget, bad workload) is not a release.
+    if let Some(counter) = routed_by {
+        state
+            .selector_stats
+            .auto_requests
+            .fetch_add(1, Ordering::Relaxed);
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    *state
+        .mech_counts
+        .lock()
+        .expect("counts poisoned")
+        .entry(mech_name.clone())
+        .or_insert(0) += 1;
 
     // Everything below owes the tenant a refund on failure.
     let refund = || {
@@ -1515,7 +1520,7 @@ fn status_json(state: &ServerState) -> String {
         None => (false, 0),
     };
     format!(
-        "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"batches\":{{\"led\":{},\"followed\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"{}\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
+        "{{\"uptime_s\":{},\"requests\":{},\"queue_depth\":{},\"tenants\":{},\"mechanisms\":{{{mech_json}}},\"plan_cache\":{{\"hits\":{},\"misses\":{},\"built\":{}}},\"batches\":{{\"led\":{},\"followed\":{}}},\"conns\":{},\"poller\":{{\"backend\":\"epoll\",\"wakeups\":{},\"events\":{},\"spurious\":{},\"timer_fires\":{},\"registered\":{}}},\"robustness\":{{\"shed_conns\":{},\"shed_queue\":{},\"shed_wait\":{},\"timeouts\":{},\"rate_limited\":{},\"reaped_idle\":{},\"rejects\":{}}},\"selector\":{{\"profile_loaded\":{profile_loaded},\"cells\":{profile_cells},\"auto_requests\":{},\"exact\":{},\"near\":{},\"default\":{},\"reloads\":{}}}}}",
         F64(state.started.elapsed().as_secs_f64()),
         state.requests.load(Ordering::Relaxed),
         state.parked_len(),
@@ -1526,7 +1531,6 @@ fn status_json(state: &ServerState) -> String {
         batches.led,
         batches.followed,
         state.conn_count.load(Ordering::Relaxed),
-        state.poller.backend_name(),
         poll.wakeups,
         poll.events,
         poll.spurious,

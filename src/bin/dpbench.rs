@@ -30,7 +30,6 @@
 //!               [--max-conns N] [--max-queue N] [--max-wait-ms MS]
 //!               [--header-timeout-ms MS] [--idle-timeout-ms MS]
 //!               [--write-timeout-ms MS] [--rate-limit RPS[:BURST]]
-//!               [--poller auto|epoll|poll]
 //! ```
 //!
 //! The streaming flags address the grid as a manifest of content-hashed
@@ -155,7 +154,7 @@ fn main() -> ExitCode {
             eprintln!("           so --max-conns in the thousands is practical; default 1024)");
             eprintln!("       [--header-timeout-ms MS] [--idle-timeout-ms MS]");
             eprintln!("       [--write-timeout-ms MS] [--rate-limit RPS[:BURST]]");
-            eprintln!("       [--poller auto|epoll|poll] (auto = epoll on Linux)");
+            eprintln!("       (serve needs Linux: its poller is epoll)");
             return ExitCode::FAILURE;
         }
     }
@@ -337,7 +336,6 @@ const SERVE_FLAGS: &[&str] = &[
     "idle-timeout-ms",
     "write-timeout-ms",
     "rate-limit",
-    "poller",
     "journal",
     "threads",
     "batch-window-ms",
@@ -1085,10 +1083,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         if let Some(s) = flags.get("rate-limit") {
             limits.rate_limit = Some(RateLimit::parse(s)?);
         }
-        let poller = match flags.get("poller") {
-            Some(s) => serve::Backend::parse(s)?,
-            None => serve::Backend::Auto,
-        };
         Ok(ServeConfig {
             addr: format!("127.0.0.1:{port}"),
             datasets,
@@ -1100,7 +1094,6 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             threads,
             batch_window: Duration::from_millis(batch_ms),
             limits,
-            poller,
             seed,
             slo: flags.get("slo").map(|v| v == "1").unwrap_or(false),
             profile: flags.get("profile").map(PathBuf::from),

@@ -7,12 +7,14 @@
 //! machines, no child processes: the transport runs shards in-process
 //! and injects failures by script, so the matrix is exact and fast.
 
-use dpbench::harness::fleet::{
-    run_fleet_with, shard_ledger_path, FaultyTransport, FetchFault, FleetOptions, LaunchFault,
-};
+#[path = "support/faulty_transport.rs"]
+mod faulty_transport;
+
+use dpbench::harness::fleet::{run_fleet_with, shard_ledger_path, FleetOptions};
 use dpbench::harness::sink::JsonlSink;
 use dpbench::prelude::*;
 use dpbench_core::Loss;
+use faulty_transport::{FaultyTransport, FetchFault, LaunchFault};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -1,17 +1,18 @@
-//! The portable `poll(2)` readiness backend, forced via
-//! `ServeConfig::poller`, must satisfy the same hostile-client contract
-//! as the default epoll path: clean 4xx rejects, slowloris 408, silent
-//! idle reaping, the connection cap, and keep-alive pipelining. One
-//! cross-platform smoke test runs the simulator backend too, so the
-//! non-unix fallback is exercised everywhere.
+//! Hostile-client cases that first pinned the `poll(2)` fallback
+//! backend, kept under their original names now that the server has one
+//! readiness backend (epoll). Each differs in detail from its
+//! `serve_hostile` counterpart: a malformed-request matrix behind a
+//! backend check, a slowloris dribble whose 408 must show in the
+//! `timeouts` counter, an idle reap with no byte ever sent, and a
+//! two-connection cap that must recover once the held connections drop.
 
-use dpbench::harness::serve::{self, http, Backend, Limits, ServeConfig};
+use dpbench::harness::serve::{self, http, Limits, ServeConfig};
 use dpbench::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-fn server_on(backend: Backend, limits: Limits) -> serve::ServerHandle {
+fn server_on(limits: Limits) -> serve::ServerHandle {
     serve::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         datasets: vec!["MEDCOST".into()],
@@ -21,7 +22,6 @@ fn server_on(backend: Backend, limits: Limits) -> serve::ServerHandle {
         threads: 2,
         seed: 7,
         limits,
-        poller: backend,
         ..ServeConfig::default()
     })
     .unwrap()
@@ -42,19 +42,18 @@ fn raw_exchange(addr: &str, payload: &[u8]) -> (u16, String) {
     (status, text)
 }
 
-/// The forced-fallback server reports `"backend":"poll"` and answers the
-/// malformed-byte matrix with the documented 4xx codes.
-#[cfg(unix)]
+/// The server reports `"backend":"epoll"` and answers the malformed-byte
+/// matrix with the documented 4xx codes.
 #[test]
 fn poll_backend_rejects_malformed_requests_cleanly() {
-    let handle = server_on(Backend::Poll, Limits::default());
+    let handle = server_on(Limits::default());
     let addr = handle.addr().to_string();
 
     let (status, body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
     assert_eq!(status, 200);
     assert!(
-        body.contains("\"backend\":\"poll\""),
-        "status must name the forced backend: {body}"
+        body.contains("\"backend\":\"epoll\""),
+        "status must name the backend: {body}"
     );
 
     let cases: Vec<(Vec<u8>, u16, &str)> = vec![
@@ -78,16 +77,15 @@ fn poll_backend_rejects_malformed_requests_cleanly() {
     handle.shutdown().unwrap();
 }
 
-/// Slowloris dribble on the poll backend: 408 from the timer wheel, and
+/// Slowloris dribble: 408 from the timer wheel, and
 /// the `timeouts` + `timer_fires` counters move.
-#[cfg(unix)]
 #[test]
 fn poll_backend_times_out_a_slowloris_dribble() {
     let limits = Limits {
         header_timeout: Duration::from_millis(300),
         ..Limits::default()
     };
-    let handle = server_on(Backend::Poll, limits);
+    let handle = server_on(limits);
     let addr = handle.addr().to_string();
 
     let mut s = TcpStream::connect(&addr).unwrap();
@@ -114,15 +112,14 @@ fn poll_backend_times_out_a_slowloris_dribble() {
     handle.shutdown().unwrap();
 }
 
-/// Idle keep-alive connections are reaped silently on the poll backend.
-#[cfg(unix)]
+/// Idle keep-alive connections are reaped silently.
 #[test]
 fn poll_backend_reaps_idle_connections() {
     let limits = Limits {
         idle_timeout: Duration::from_millis(250),
         ..Limits::default()
     };
-    let handle = server_on(Backend::Poll, limits);
+    let handle = server_on(limits);
     let addr = handle.addr().to_string();
 
     let mut s = TcpStream::connect(&addr).unwrap();
@@ -137,16 +134,14 @@ fn poll_backend_reaps_idle_connections() {
     handle.shutdown().unwrap();
 }
 
-/// The connection cap sheds with 503 + Retry-After on the poll backend,
-/// and capacity returns once a held connection drops.
-#[cfg(unix)]
+/// The connection cap sheds with 503 + Retry-After, and capacity returns once a held connection drops.
 #[test]
 fn poll_backend_sheds_at_the_connection_cap_and_recovers() {
     let limits = Limits {
         max_conns: 2,
         ..Limits::default()
     };
-    let handle = server_on(Backend::Poll, limits);
+    let handle = server_on(limits);
     let addr = handle.addr().to_string();
 
     let held: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(&addr).unwrap()).collect();
@@ -181,72 +176,5 @@ fn poll_backend_sheds_at_the_connection_cap_and_recovers() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
-    handle.shutdown().unwrap();
-}
-
-/// Pipelined keep-alive requests on one connection: every response comes
-/// back in order, and the poller counters show real event traffic.
-#[cfg(unix)]
-#[test]
-fn poll_backend_serves_pipelined_keepalive_requests() {
-    let handle = server_on(Backend::Poll, Limits::default());
-    let addr = handle.addr().to_string();
-
-    let mut conn = http::ClientConn::connect(&addr).unwrap();
-    const N: usize = 8;
-    for _ in 0..N {
-        conn.send("GET", "/v1/healthz", None).unwrap();
-    }
-    for i in 0..N {
-        let (status, body) = conn.recv().unwrap();
-        assert_eq!(status, 200, "response {i}: {body}");
-        assert!(body.contains("\"ok\":true"), "response {i}: {body}");
-    }
-    // A release round-trip over the same connection still works.
-    let (status, body) = conn
-        .request(
-            "POST",
-            "/v1/release",
-            Some(r#"{"tenant":"t","dataset":"MEDCOST","eps":0.1,"mechanism":"IDENTITY"}"#),
-        )
-        .unwrap();
-    assert_eq!(status, 200, "{body}");
-
-    let (_, status_body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
-    let stats = handle.state().poller_stats();
-    assert!(stats.wakeups > 0, "workers must have blocked on the poller");
-    assert!(
-        stats.events > 0,
-        "readiness events must have been delivered"
-    );
-    assert!(
-        status_body.contains("\"poller\":{\"backend\":\"poll\""),
-        "{status_body}"
-    );
-    handle.shutdown().unwrap();
-}
-
-/// The simulator backend (what non-unix targets fall back to) serves the
-/// basic request round-trip — run everywhere so the path cannot rot.
-#[test]
-fn sim_backend_serves_requests() {
-    let handle = server_on(Backend::Sim, Limits::default());
-    let addr = handle.addr().to_string();
-
-    let (status, body) = http::request(&addr, "GET", "/v1/healthz", None).unwrap();
-    assert_eq!(status, 200, "{body}");
-    let (status, body) = http::request(
-        &addr,
-        "POST",
-        "/v1/release",
-        Some(r#"{"tenant":"t","dataset":"MEDCOST","eps":0.1,"mechanism":"IDENTITY"}"#),
-    )
-    .unwrap();
-    assert_eq!(status, 200, "{body}");
-    let (_, status_body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
-    assert!(
-        status_body.contains("\"poller\":{\"backend\":\"sim\""),
-        "{status_body}"
-    );
     handle.shutdown().unwrap();
 }

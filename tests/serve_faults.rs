@@ -13,10 +13,14 @@
 //!    live server acknowledged spending (a lost refund record costs the
 //!    tenant budget; it never mints free budget).
 
+#[path = "support/faulty_io.rs"]
+mod faulty_io;
+
 use dpbench::harness::serve::{
-    AdmissionError, AppendFault, FaultyIo, JournalOp, JournalRecord, SpendJournal, TenantAccountant,
+    AdmissionError, JournalOp, JournalRecord, SpendJournal, TenantAccountant,
 };
 use dpbench_core::rng::rng_for;
+use faulty_io::{AppendFault, FaultyIo};
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

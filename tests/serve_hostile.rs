@@ -481,3 +481,144 @@ fn health_and_readiness_probes() {
     assert!(resp.contains("\"ready\":true"), "{resp}");
     handle.shutdown().unwrap();
 }
+
+/// Pipelined keep-alive requests on one connection: every response comes
+/// back in order, and the epoll counters show real event traffic.
+#[test]
+fn pipelined_keepalive_requests_are_served_in_order() {
+    let handle = server_with(Limits::default(), &[("t", 10.0)]);
+    let addr = handle.addr().to_string();
+
+    let mut conn = http::ClientConn::connect(&addr).unwrap();
+    const N: usize = 8;
+    for _ in 0..N {
+        conn.send("GET", "/v1/healthz", None).unwrap();
+    }
+    for i in 0..N {
+        let (status, body) = conn.recv().unwrap();
+        assert_eq!(status, 200, "response {i}: {body}");
+        assert!(body.contains("\"ok\":true"), "response {i}: {body}");
+    }
+    // A release round-trip over the same connection still works.
+    let (status, body) = conn
+        .request(
+            "POST",
+            "/v1/release",
+            Some(r#"{"tenant":"t","dataset":"MEDCOST","eps":0.1,"mechanism":"IDENTITY"}"#),
+        )
+        .unwrap();
+    assert_eq!(status, 200, "{body}");
+
+    let (_, status_body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
+    let stats = handle.state().poller_stats();
+    assert!(stats.wakeups > 0, "workers must have blocked on the poller");
+    assert!(
+        stats.events > 0,
+        "readiness events must have been delivered"
+    );
+    assert!(
+        status_body.contains("\"poller\":{\"backend\":\"epoll\""),
+        "{status_body}"
+    );
+    handle.shutdown().unwrap();
+}
+
+/// Under a rate limit, a tenant without a grant gets 404 every time: the
+/// limiter never mints a bucket for it, so it can never be 429'd, and
+/// `rate_limited` stays 0.
+#[test]
+fn unknown_tenant_is_404_under_a_rate_limit_and_never_throttled() {
+    let limits = Limits {
+        rate_limit: Some(RateLimit::parse("1:1").unwrap()),
+        ..Limits::default()
+    };
+    let handle = server_with(limits, &[("t", 10.0)]);
+    let addr = handle.addr().to_string();
+    let body = r#"{"tenant":"ghost","dataset":"MEDCOST","mechanism":"IDENTITY","eps":0.1}"#;
+    for i in 0..5 {
+        let (status, resp) = http::request(&addr, "POST", "/v1/release", Some(body)).unwrap();
+        assert_eq!(status, 404, "request {i}: {resp}");
+        let err = json::parse(&resp).unwrap();
+        assert_eq!(
+            err.get("error").and_then(Value::as_str),
+            Some("unknown_tenant"),
+            "request {i}: {resp}"
+        );
+    }
+    let (_, status_body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
+    let v = json::parse(&status_body).unwrap();
+    let rate_limited = v
+        .get("robustness")
+        .and_then(|r| r.get("rate_limited"))
+        .and_then(Value::as_u64);
+    assert_eq!(rate_limited, Some(0), "{status_body}");
+    handle.shutdown().unwrap();
+}
+
+/// `mechanisms{…}` and `selector{…}` count releases, not requests: a 404
+/// unknown tenant, a 400 bad workload and a 429 exhausted budget leave
+/// both blocks unchanged, for explicit and `auto` requests alike, and
+/// the counts add up to the client's own tally of 200s.
+#[test]
+fn release_counters_ignore_refused_requests() {
+    let handle = server_with(Limits::default(), &[("t", 0.35)]);
+    let addr = handle.addr().to_string();
+    let counters = || {
+        let (status, body) = http::request(&addr, "GET", "/v1/status", None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v = json::parse(&body).unwrap().into_owned();
+        (
+            v.get("mechanisms").unwrap().clone(),
+            v.get("selector").unwrap().clone(),
+        )
+    };
+    let release = |tenant: &str, mech: &str, eps: f64, workload: Option<&str>| {
+        let extra = workload.map_or(String::new(), |w| format!(",\"workload\":\"{w}\""));
+        let body = format!(
+            "{{\"tenant\":\"{tenant}\",\"dataset\":\"MEDCOST\",\"mechanism\":\"{mech}\",\"eps\":{eps}{extra}}}"
+        );
+        http::request(&addr, "POST", "/v1/release", Some(&body)).unwrap()
+    };
+
+    let mut ok = 0;
+    let mut auto_ok = 0;
+    for mech in ["IDENTITY", "auto"] {
+        let (status, resp) = release("t", mech, 0.1, None);
+        assert_eq!(status, 200, "{mech}: {resp}");
+        ok += 1;
+        auto_ok += u64::from(mech == "auto");
+    }
+    // Spent 0.2 of 0.35: a 0.2 request is refused as exhausted.
+    let refusals = [
+        ("ghost", 0.1, None, 404, "unknown_tenant"),
+        ("t", 0.1, Some("bogus:7"), 400, "bad_request"),
+        ("t", 0.2, None, 429, "budget_exhausted"),
+    ];
+    for (tenant, eps, workload, want, code) in refusals {
+        for mech in ["IDENTITY", "auto"] {
+            let before = counters();
+            let (status, resp) = release(tenant, mech, eps, workload);
+            assert_eq!(status, want, "{mech} {code}: {resp}");
+            assert!(resp.contains(code), "{mech} {code}: {resp}");
+            assert_eq!(counters(), before, "{mech} {code} must not count");
+        }
+    }
+    let (status, resp) = release("t", "IDENTITY", 0.1, None);
+    assert_eq!(status, 200, "{resp}");
+    ok += 1;
+
+    let (mechanisms, selector) = counters();
+    let Value::Obj(members) = &mechanisms else {
+        panic!("mechanisms is not an object: {mechanisms:?}")
+    };
+    let released: u64 = members.iter().map(|(_, n)| n.as_u64().unwrap()).sum();
+    assert_eq!(released, ok, "{mechanisms:?}");
+    let sel = |key: &str| selector.get(key).and_then(Value::as_u64).unwrap();
+    assert_eq!(sel("auto_requests"), auto_ok, "{selector:?}");
+    assert_eq!(
+        sel("exact") + sel("near") + sel("default"),
+        auto_ok,
+        "{selector:?}"
+    );
+    handle.shutdown().unwrap();
+}

@@ -1,11 +1,12 @@
-//! Deterministic fault injection for the spend journal.
+//! Deterministic fault injection for the spend journal, used by the
+//! crash-consistency matrix in `tests/serve_faults.rs`. It lives with
+//! the tests, not in the library, so release builds carry none of it.
 //!
-//! [`FaultyIo`] is an in-memory [`JournalIo`](super::journal::JournalIo)
-//! whose failures are scheduled by operation index, mirroring the
-//! `FaultyTransport` design from the fleet layer: a test declares
-//! *exactly* which append tears at which byte and which fsync fails, so
-//! every crash-consistency scenario is a seeded, replayable case rather
-//! than a race.
+//! [`FaultyIo`] is an in-memory `JournalIo` whose failures are scheduled
+//! by operation index, mirroring the fleet tests' `FaultyTransport`: a
+//! test declares *exactly* which append tears at which byte and which
+//! fsync fails, so every crash-consistency scenario is a seeded,
+//! replayable case rather than a race.
 //!
 //! The backing "disk" is an `Arc<Mutex<Vec<u8>>>` handed out via
 //! [`FaultyIo::disk_handle`]. Simulating a crash is therefore just:
@@ -13,7 +14,7 @@
 //! fresh `FaultyIo` over the snapshot, and reopen the accountant — the
 //! same reopen path production takes after a real power loss.
 
-use super::journal::JournalIo;
+use dpbench::harness::serve::JournalIo;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::{Arc, Mutex};
@@ -147,7 +148,7 @@ impl JournalIo for FaultyIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::journal::{JournalOp, SpendJournal};
+    use dpbench::harness::serve::{JournalOp, SpendJournal};
 
     #[test]
     fn short_write_is_repaired_by_truncate() {
